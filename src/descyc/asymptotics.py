@@ -22,11 +22,16 @@ from .core import (
     DescentSet,
     DomainError,
     InvariantViolation,
+    alternation_mask,
     divisors,
-    mobius,
-    quotient_mask,
+    mask_elements,
 )
-from .cyclic import beta_cyc_table
+from .cyclic import (
+    _square_free_divisors,
+    alpha_cyc_mask,
+    beta_cyc_table,
+    signed_divisor_sum,
+)
 from .linear import alpha_mask, beta_table, euler_zigzag
 
 SCAN_CAP = 24
@@ -39,7 +44,8 @@ class Family:
 
     kind is one of:
       all-proper     every nonempty proper subset of {1, ..., n-1}
-      periodic       the single set {i : i mod ell in pattern} cut to [n-1]
+      periodic       the single set {i : i mod ell in pattern} cut to [n-1],
+                     which must be nonempty and proper
       alt-threshold  subsets whose alternation number exceeds
                      n/2 - n**(1 - epsilon)
     """
@@ -63,7 +69,11 @@ class Family:
             raise DomainError(f"pattern {pattern} not inside [1, {ell}]")
         if len(pat) == ell:
             raise DomainError("pattern must be proper within its period")
-        return cls(n, "periodic", ell=ell, pattern=pat)
+        family = cls(n, "periodic", ell=ell, pattern=pat)
+        if family._periodic_mask() in (0, (1 << max(n - 1, 0)) - 1):
+            raise DomainError(
+                f"{family.describe()} has no proper nonempty member at n = {n}")
+        return family
 
     @classmethod
     def alt_threshold(cls, n: int, epsilon: Fraction) -> "Family":
@@ -112,10 +122,8 @@ class Family:
 
     def _alt_members(self, start: int, stop: int) -> Iterator[int]:
         n, eps = self.n, self.epsilon
-        width = (1 << max(n - 2, 0)) - 1
         for mask in range(start, stop):
-            alt = ((mask ^ (mask >> 1)) & width).bit_count()
-            if _alt_qualifies(alt, n, eps):
+            if _alt_qualifies(alternation_mask(mask, n).bit_count(), n, eps):
                 yield mask
 
     def member_range(self, start: int, stop: int) -> Iterator[int]:
@@ -194,15 +202,6 @@ class ScanReport:
 _Candidate = tuple[int, int, int]  # (num, den, argmax mask)
 
 
-def _elements(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
-
-
 def _better(a: Optional[_Candidate], b: Optional[_Candidate]) -> Optional[_Candidate]:
     if a is None:
         return b
@@ -213,7 +212,7 @@ def _better(a: Optional[_Candidate], b: Optional[_Candidate]) -> Optional[_Candi
     if left != right:
         return a if left > right else b
     # exact tie: keep the lexicographically smaller element tuple
-    return a if _elements(a[2]) <= _elements(b[2]) else b
+    return a if mask_elements(a[2]) <= mask_elements(b[2]) else b
 
 
 # Shared read-only scan state, inherited by forked workers.
@@ -229,13 +228,9 @@ def _beta_dev_chunk(bounds: tuple[int, int]) -> tuple[Optional[_Candidate], int]
     seen = 0
     for mask in family.member_range(*bounds):
         seen += 1
-        size = mask.bit_count()
-        acc = 0
-        for d, mu, table in terms:
-            q = quotient_mask(mask, d, n)
-            sign = -1 if (size - q.bit_count()) & 1 else 1
-            acc += mu * sign * table[q]
-        num = -acc if acc < 0 else acc
+        # the d = 1 term is beta itself, so the d > 1 terms sum to the
+        # numerator n * beta_cyc - beta
+        num = abs(signed_divisor_sum(n, mask, terms))
         best = _better(best, (num, betas[mask], mask))
     return best, seen
 
@@ -253,11 +248,8 @@ def beta_deviation_scan(family: Family, jobs: int = 1) -> ScanReport:
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
-    terms = [
-        (d, mobius(d), beta_table(n // d))
-        for d in divisors(n)
-        if d > 1 and mobius(d)
-    ]
+    terms = [(d, mu, beta_table(n // d).__getitem__)
+             for d, mu in _square_free_divisors(n) if d > 1]
     betas = beta_table(n)
     _SCAN_STATE.update(family=family, terms=terms, betas=betas)
     try:
@@ -340,19 +332,9 @@ def alpha_deviation_scan(n: int) -> tuple[ScanReport, bool]:
     start = time.monotonic()
     best: _Candidate = (0, 1, 1)  # {1} is always coprime to n, deviation 0
     for mask in _shared_prime_masks(n):
-        m = n
-        work = mask
-        while work:
-            low = work & -work
-            m = math.gcd(m, low.bit_length())
-            work ^= low
-        acc = 0
-        for d in divisors(m):
-            mu = mobius(d)
-            if mu and d > 1:
-                acc += mu * alpha_mask(n // d, quotient_mask(mask, d, n))
-        num = -acc if acc < 0 else acc
-        best = _better(best, (num, alpha_mask(n, mask), mask))
+        alpha = alpha_mask(n, mask)
+        num = abs(n * alpha_cyc_mask(n, mask) - alpha)
+        best = _better(best, (num, alpha, mask))
     num, den, mask = best
     d_n = len(divisors(n))
     holds = num * num * n <= d_n * d_n * den * den
@@ -409,7 +391,6 @@ def bound_checks(n: int) -> BoundReport:
     beta_cycs = beta_cyc_table(n)
     failures: list[str] = []
     half_fact = math.factorial(n // 2)
-    width = (1 << max(n - 2, 0)) - 1
     checked = 0
     for mask in range(1 << (n - 1)):
         checked += 1
@@ -417,7 +398,7 @@ def bound_checks(n: int) -> BoundReport:
         gap = n * beta_cycs[mask] - betas[mask]
         if 2 * abs(gap) > n * half_fact:
             failures.append(f"gap bound: I={{{witness()}}} gap={gap}")
-        alt = ((mask ^ (mask >> 1)) & width).bit_count()
+        alt = alternation_mask(mask, n).bit_count()
         stair = _even_run_mask(alt // 2) if alt % 2 == 0 else _odd_run_mask((alt + 1) // 2)
         if betas[mask] < betas[stair]:
             failures.append(f"staircase minimization: I={{{witness()}}} alt={alt}")

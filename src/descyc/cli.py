@@ -299,9 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="descyc",
         description="Exact descent-set statistics of permutations and cycles.",
     )
-    parser.add_argument(
-        "--cache-size", type=int, default=linear.DEFAULT_CACHE_SIZE,
-        help="LRU budget for the (n, mask) descent-count memo")
     sub = parser.add_subparsers(dest="command", required=True)
 
     fmt = {"choices": ("plain", "json", "csv"), "default": "plain"}
@@ -356,11 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cache_size != linear.DEFAULT_CACHE_SIZE:
-        if args.cache_size < 1:
-            print("error: --cache-size must be >= 1", file=sys.stderr)
-            return 2
-        linear.set_beta_cache_size(args.cache_size)
+    # Exact counts can run past Python's default int-to-str digit limit.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except DomainError as exc:

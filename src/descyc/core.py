@@ -8,6 +8,7 @@ codecs) is built on this encoding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -18,6 +19,10 @@ Count = int
 
 # Masks are kept inside one machine word; every practical scan is n <= ~24.
 MAX_N = 64
+
+# Whole per-ambient tables are memoized up to this size; larger ones are
+# rebuilt on demand to keep memory bounded.
+TABLE_CACHE_MAX_N = 16
 
 
 class DomainError(ValueError):
@@ -30,6 +35,17 @@ class CapacityError(DomainError):
 
 class InvariantViolation(RuntimeError):
     """A proven identity failed to hold: an implementation bug, not bad input."""
+
+
+def small_table_cache(build):
+    """Memoize a builder of whole per-ambient tables for n <= TABLE_CACHE_MAX_N."""
+    cached = functools.lru_cache(maxsize=None)(build)
+
+    @functools.wraps(build)
+    def table(n: int):
+        return cached(n) if n <= TABLE_CACHE_MAX_N else build(n)
+
+    return table
 
 
 def exact_div(total: int, n: int, what: str) -> int:
@@ -133,13 +149,7 @@ class DescentSet:
         return ",".join(str(i) for i in self.elements())
 
     def elements(self) -> tuple[int, ...]:
-        mask = self.mask
-        result = []
-        while mask:
-            low = mask & -mask
-            result.append(low.bit_length())
-            mask ^= low
-        return tuple(result)
+        return mask_elements(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -164,17 +174,32 @@ class DescentSet:
         return alternation(self)
 
 
+def mask_elements(mask: int) -> tuple[int, ...]:
+    """The members of a raw mask, ascending."""
+    result = []
+    while mask:
+        low = mask & -mask
+        result.append(low.bit_length())
+        mask ^= low
+    return tuple(result)
+
+
+def mask_gcd(n: int, mask: int) -> int:
+    """gcd of n and every member of a raw mask; n itself for the empty mask."""
+    g = n
+    while mask and g > 1:
+        low = mask & -mask
+        g = math.gcd(g, low.bit_length())
+        mask ^= low
+    return g
+
+
 def descent_gcd(I: DescentSet) -> int:
     """gcd of all elements of I together with the ambient n.
 
     The empty set gives n itself.
     """
-    g = I.n
-    for i in I.elements():
-        g = math.gcd(g, i)
-        if g == 1:
-            break
-    return g
+    return mask_gcd(I.n, I.mask)
 
 
 def quotient_mask(mask: int, d: int, n: int) -> int:

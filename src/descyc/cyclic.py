@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .core import (
@@ -20,11 +21,12 @@ from .core import (
     DescentSet,
     DomainError,
     InvariantViolation,
-    descent_gcd,
     divisors,
     exact_div,
+    mask_gcd,
     mobius,
     quotient_mask,
+    small_table_cache,
 )
 from .linear import (
     alpha_mask,
@@ -62,17 +64,31 @@ def _square_free_divisors(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def alpha_cyc_mask(n: int, mask: int) -> Count:
-    m = n
-    work = mask
-    while work:
-        low = work & -work
-        m = math.gcd(m, low.bit_length())
-        if m == 1:
-            break
-        work ^= low
+def signed_divisor_sum(n: int, mask: int, terms) -> int:
+    """Sum of c * (-1)**(|I| - |I/d|) * f(I/d) over (d, c, f) in terms.
+
+    I is the mask at ambient n and f takes the quotient mask at n/d.  With
+    one term (d, mobius(d), beta at n/d) per square-free divisor d of n the
+    sum is n * beta_cyc(I), the forward form of the main theorem.
+    """
+    size = mask.bit_count()
     total = 0
-    for d, mu in _square_free_divisors(m):
+    for d, c, f in terms:
+        q = quotient_mask(mask, d, n)
+        total += (-c if (size - q.bit_count()) & 1 else c) * f(q)
+    return total
+
+
+def _beta_cyc_value(total: int, n: int, mask: int) -> Count:
+    value = exact_div(total, n, "beta_cyc")
+    if value < 0:
+        raise InvariantViolation(f"beta_cyc negative: n={n} mask={mask:#x}")
+    return value
+
+
+def alpha_cyc_mask(n: int, mask: int) -> Count:
+    total = 0
+    for d, mu in _square_free_divisors(mask_gcd(n, mask)):
         total += mu * alpha_mask(n // d, quotient_mask(mask, d, n))
     return exact_div(total, n, "alpha_cyc")
 
@@ -83,16 +99,8 @@ def alpha_cyc(I: DescentSet) -> Count:
 
 
 def beta_cyc_mask(n: int, mask: int) -> Count:
-    size = mask.bit_count()
-    total = 0
-    for d, mu in _square_free_divisors(n):
-        q = quotient_mask(mask, d, n)
-        sign = -1 if (size - q.bit_count()) & 1 else 1
-        total += mu * sign * beta_mask(n // d, q)
-    value = exact_div(total, n, "beta_cyc")
-    if value < 0:
-        raise InvariantViolation(f"beta_cyc negative: n={n} mask={mask:#x}")
-    return value
+    terms = [(d, mu, partial(beta_mask, n // d)) for d, mu in _square_free_divisors(n)]
+    return _beta_cyc_value(signed_divisor_sum(n, mask, terms), n, mask)
 
 
 def beta_cyc(I: DescentSet) -> Count:
@@ -100,31 +108,13 @@ def beta_cyc(I: DescentSet) -> Count:
     return beta_cyc_mask(I.n, I.mask)
 
 
-_small_beta_cyc_tables: dict[int, list[Count]] = {}
-
-
+@small_table_cache
 def beta_cyc_table(n: int) -> list[Count]:
     """beta_cyc for every mask of ambient n, indexed by mask."""
-    if n <= 16:
-        cached = _small_beta_cyc_tables.get(n)
-        if cached is not None:
-            return cached
-    terms = [(d, mu, beta_table(n // d)) for d, mu in _square_free_divisors(n)]
-    out = []
-    for mask in range(1 << (n - 1)):
-        size = mask.bit_count()
-        total = 0
-        for d, mu, table in terms:
-            q = quotient_mask(mask, d, n)
-            sign = -1 if (size - q.bit_count()) & 1 else 1
-            total += mu * sign * table[q]
-        value = exact_div(total, n, "beta_cyc_table")
-        if value < 0:
-            raise InvariantViolation(f"beta_cyc negative: n={n} mask={mask:#x}")
-        out.append(value)
-    if n <= 16:
-        _small_beta_cyc_tables[n] = out
-    return out
+    terms = [(d, mu, beta_table(n // d).__getitem__)
+             for d, mu in _square_free_divisors(n)]
+    return [_beta_cyc_value(signed_divisor_sum(n, mask, terms), n, mask)
+            for mask in range(1 << (n - 1))]
 
 
 @dataclass(frozen=True)
@@ -151,14 +141,8 @@ def verify_main_inversions(n: int) -> InversionReport:
     checked = 0
     for mask in range(1 << (n - 1)):
         size = mask.bit_count()
-        m = n
-        work = mask
-        while work:
-            low = work & -work
-            m = math.gcd(m, low.bit_length())
-            work ^= low
         lhs_a = 0
-        for d in divisors(m):
+        for d in divisors(mask_gcd(n, mask)):
             lhs_a += (n // d) * alpha_cyc_mask(n // d, quotient_mask(mask, d, n))
         if lhs_a != alphas[mask]:
             witness = DescentSet(n, mask).to_text()
@@ -208,44 +192,6 @@ def fixed_prefix_identity(n: int, I: DescentSet) -> tuple[Count, Count, bool]:
     lhs = beta_cyc_mask(n, I.mask) + beta_cyc_mask(n, I.mask | 1 << (n - 2))
     rhs = beta_mask(n - 1, I.mask)
     return lhs, rhs, lhs == rhs
-
-
-@dataclass(frozen=True)
-class GcdShortcuts:
-    """Closed-form check results where a gcd hypothesis holds.
-
-    contained: (alpha, n * alpha_cyc) when gcd(I u {n}) = 1.
-    exact: (beta, n * beta_cyc + (-1)**|I|) when every element is coprime to n.
-    """
-
-    contained: Optional[tuple[Count, Count]] = None
-    exact: Optional[tuple[Count, Count]] = None
-
-
-def gcd_one_shortcuts(I: DescentSet) -> Optional[GcdShortcuts]:
-    """Evaluate the coprime shortcut identities; None if neither applies."""
-    n = I.n
-    contained = None
-    exact = None
-    if descent_gcd(I) == 1:
-        lhs = alpha_mask(n, I.mask)
-        rhs = n * alpha_cyc_mask(n, I.mask)
-        if lhs != rhs:
-            raise InvariantViolation(
-                f"coprime alpha shortcut failed at n={n} I={I.to_text()}")
-        contained = (lhs, rhs)
-    # the exact-count shortcut needs the divisors 1 and n distinct
-    if n >= 2 and all(math.gcd(i, n) == 1 for i in I.elements()):
-        lhs = beta_mask(n, I.mask)
-        sign = -1 if len(I) & 1 else 1
-        rhs = n * beta_cyc_mask(n, I.mask) + sign
-        if lhs != rhs:
-            raise InvariantViolation(
-                f"coprime beta shortcut failed at n={n} I={I.to_text()}")
-        exact = (lhs, rhs)
-    if contained is None and exact is None:
-        return None
-    return GcdShortcuts(contained, exact)
 
 
 def alternating_cycles(n: int) -> Count:

@@ -11,15 +11,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
 
-from .core import Composition, Count, DescentSet, DomainError, composition_of
+from .core import Count, DescentSet, DomainError, small_table_cache
 
-DEFAULT_CACHE_SIZE = 1 << 20
-
-# Bulk per-ambient tables are memoized up to this size; larger ones are
-# rebuilt on demand to keep memory bounded.
-_TABLE_CACHE_MAX_N = 16
+# Entries kept by each (n, mask)-keyed beta memo.
+MEMO_SIZE = 1 << 20
 
 
 class Strategy(enum.Enum):
@@ -58,6 +54,7 @@ def alpha_mask(n: int, mask: int) -> Count:
     return acc * math.comb(n, n - prev)
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _beta_dp(n: int, mask: int) -> Count:
     # psi[j] = arrangements of a length-i prefix pattern whose last entry has
     # relative rank j+1; an ascent step needs r < j, a descent step r >= j.
@@ -80,6 +77,7 @@ def _beta_dp(n: int, mask: int) -> Count:
     return sum(psi)
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _beta_inclusion_exclusion(n: int, mask: int) -> Count:
     # Signed sum of alpha over all subsets of the mask; shares no code with
     # the DP route.
@@ -95,17 +93,6 @@ def _beta_inclusion_exclusion(n: int, mask: int) -> Count:
     return total
 
 
-_beta_dp_cached = functools.lru_cache(maxsize=DEFAULT_CACHE_SIZE)(_beta_dp)
-_beta_ie_cached = functools.lru_cache(maxsize=DEFAULT_CACHE_SIZE)(_beta_inclusion_exclusion)
-
-
-def set_beta_cache_size(size: int) -> None:
-    """Rebuild the (n, mask)-keyed memo caches with a new LRU budget."""
-    global _beta_dp_cached, _beta_ie_cached
-    _beta_dp_cached = functools.lru_cache(maxsize=size)(_beta_dp)
-    _beta_ie_cached = functools.lru_cache(maxsize=size)(_beta_inclusion_exclusion)
-
-
 def beta(I: DescentSet, strategy: Strategy = Strategy.DP) -> Count:
     """Permutations of the ambient n with descent set exactly I."""
     return beta_mask(I.n, I.mask, strategy)
@@ -113,31 +100,8 @@ def beta(I: DescentSet, strategy: Strategy = Strategy.DP) -> Count:
 
 def beta_mask(n: int, mask: int, strategy: Strategy = Strategy.DP) -> Count:
     if strategy is Strategy.DP:
-        return _beta_dp_cached(n, mask)
-    return _beta_ie_cached(n, mask)
-
-
-@dataclass
-class BetaEngine:
-    """A beta evaluator pinned to one strategy with its own memo."""
-
-    strategy: Strategy = Strategy.DP
-    cache_size: int = DEFAULT_CACHE_SIZE
-    _memo: dict = field(default_factory=dict, repr=False)
-
-    def count(self, I: DescentSet) -> Count:
-        key = (I.n, I.mask)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if self.strategy is Strategy.DP:
-            value = _beta_dp(I.n, I.mask)
-        else:
-            value = _beta_inclusion_exclusion(I.n, I.mask)
-        if len(self._memo) >= self.cache_size:
-            self._memo.clear()
-        self._memo[key] = value
-        return value
+        return _beta_dp(n, mask)
+    return _beta_inclusion_exclusion(n, mask)
 
 
 def alpha_table(n: int) -> list[Count]:
@@ -145,7 +109,9 @@ def alpha_table(n: int) -> list[Count]:
     return [alpha_mask(n, mask) for mask in range(1 << (n - 1))]
 
 
-def _beta_table(n: int) -> list[Count]:
+@small_table_cache
+def beta_table(n: int) -> list[Count]:
+    """beta for every mask of ambient n, indexed by mask."""
     # Moebius transform over the subset lattice turns alpha into beta; the
     # slice form keeps the inner loop in C.
     table = alpha_table(n)
@@ -157,20 +123,6 @@ def _beta_table(n: int) -> list[Count]:
             lower = table[base - bit:base]
             table[base:base + bit] = [x - y for x, y in zip(block, lower)]
     return table
-
-
-_small_beta_tables: dict[int, list[Count]] = {}
-
-
-def beta_table(n: int) -> list[Count]:
-    """beta for every mask of ambient n, indexed by mask."""
-    if n <= _TABLE_CACHE_MAX_N:
-        cached = _small_beta_tables.get(n)
-        if cached is None:
-            cached = _beta_table(n)
-            _small_beta_tables[n] = cached
-        return cached
-    return _beta_table(n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,8 +189,3 @@ def generalized_euler(n: int, k: int) -> Count:
     if n < 1 or k < 1:
         raise DomainError(f"generalized zigzag needs n, k >= 1, got {n}, {k}")
     return beta_mask(n, kz_mask(n, k))
-
-
-def descent_composition(I: DescentSet) -> Composition:
-    """Convenience re-export of the gap composition of a descent set."""
-    return composition_of(I)

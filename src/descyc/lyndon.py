@@ -37,6 +37,8 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not self.parts:
+            raise DomainError(f"cycle type {self.parts} needs at least one part")
         if any(p < 1 for p in self.parts):
             raise DomainError(f"partition parts must be positive: {self.parts}")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import asymptotics, cyclic, linear, lyndon, oracle, patterns
-from .core import DescentSet, DomainError, divisors, mobius, quotient_mask
+from .core import DescentSet, DomainError, InvariantViolation, divisors, mobius
 
 SUITES = ("oracle", "inversions", "corollaries", "lyndon", "patterns",
           "bounds", "all")
@@ -47,46 +47,50 @@ def _result(label: str, ok: bool, witness: str = "") -> CheckResult:
     return CheckResult(label, ok, witness if not ok else "")
 
 
+def _check_oracle(n: int) -> CheckResult:
+    b_table, bc_table, _ = oracle.brute_tables(n)
+    fb = linear.beta_table(n)
+    fbc = cyclic.beta_cyc_table(n)
+    bad = ""
+    for mask in range(1 << (n - 1)):
+        if fb[mask] != b_table.counts[mask]:
+            bad = f"beta mismatch at I={{{DescentSet(n, mask).to_text()}}}"
+            break
+        if fbc[mask] != bc_table.counts[mask]:
+            bad = f"beta_cyc mismatch at I={{{DescentSet(n, mask).to_text()}}}"
+            break
+        sub, a_sum, ac_sum = mask, 0, 0
+        while True:
+            a_sum += b_table.counts[sub]
+            ac_sum += bc_table.counts[sub]
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+        if linear.alpha_mask(n, mask) != a_sum:
+            bad = f"alpha mismatch at I={{{DescentSet(n, mask).to_text()}}}"
+            break
+        if cyclic.alpha_cyc_mask(n, mask) != ac_sum:
+            bad = f"alpha_cyc mismatch at I={{{DescentSet(n, mask).to_text()}}}"
+            break
+    return _result(f"oracle agreement n={n}", not bad, bad)
+
+
 def suite_oracle(max_n: int) -> list[CheckResult]:
     """Formula alpha/beta and their cycle versions against enumeration."""
-    out = []
-    for n in range(1, min(max_n, 9) + 1):
-        b_table, bc_table, _ = oracle.brute_tables(n)
-        fb = linear.beta_table(n)
-        fbc = cyclic.beta_cyc_table(n)
-        bad = ""
-        for mask in range(1 << (n - 1)):
-            if fb[mask] != b_table.counts[mask]:
-                bad = f"beta mismatch at I={{{DescentSet(n, mask).to_text()}}}"
-                break
-            if fbc[mask] != bc_table.counts[mask]:
-                bad = f"beta_cyc mismatch at I={{{DescentSet(n, mask).to_text()}}}"
-                break
-            sub, a_sum, ac_sum = mask, 0, 0
-            while True:
-                a_sum += b_table.counts[sub]
-                ac_sum += bc_table.counts[sub]
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            if linear.alpha_mask(n, mask) != a_sum:
-                bad = f"alpha mismatch at I={{{DescentSet(n, mask).to_text()}}}"
-                break
-            if cyclic.alpha_cyc_mask(n, mask) != ac_sum:
-                bad = f"alpha_cyc mismatch at I={{{DescentSet(n, mask).to_text()}}}"
-                break
-        out.append(_result(f"oracle agreement n={n}", not bad, bad))
-    return out
+    return [_check_oracle(n) for n in range(1, min(max_n, 9) + 1)]
+
+
+def _check_inversions(n: int) -> CheckResult:
+    rep = cyclic.verify_main_inversions(n)
+    if not rep.ok:
+        return _result(f"inversion closure n={n}", False, str(rep.counterexample))
+    return _result(f"inversion closure n={n}", rep.checked == 1 << (n - 1),
+                   f"checked {rep.checked} sets")
 
 
 def suite_inversions(max_n: int) -> list[CheckResult]:
     """The two exhaustive cross-inversion identities."""
-    out = []
-    for n in range(1, min(max_n, 12) + 1):
-        rep = cyclic.verify_main_inversions(n)
-        witness = "" if rep.ok else str(rep.counterexample)
-        out.append(_result(f"inversion closure n={n}", rep.ok, witness))
-    return out
+    return [_check_inversions(n) for n in range(1, min(max_n, 12) + 1)]
 
 
 def _check_prefix_identity(n: int) -> CheckResult:
@@ -141,113 +145,123 @@ def _check_complements(n: int) -> CheckResult:
         if delta < 0:
             return _result(label, False,
                            f"inequality at I={{{I.to_text()}}}")
-        if delta != cyclic.beta_cyc_mask(n // 2, quotient_mask(mask, 2, n)):
+        try:
+            half = cyclic.complement_delta(I)
+        except InvariantViolation as exc:
+            return _result(label, False, str(exc))
+        if delta != half:
             return _result(label, False,
                            f"half-size identity at I={{{I.to_text()}}}")
     return _result(label, True)
 
 
-def suite_corollaries(max_n: int) -> list[CheckResult]:
-    """Prefix identity, gcd shortcuts, complements, sum rules, special sets."""
-    out = []
-    for n in range(2, min(max_n, 14) + 1):
-        out.append(_check_prefix_identity(n))
-    for n in range(1, min(max_n, 14) + 1):
-        out.append(_check_gcd_shortcuts(n))
-    for n in range(1, min(max_n, 12) + 1):
-        if n % 4 != 2:
-            out.append(_check_complements(n))
-    for n in (6, 10):
-        if n <= max_n:
-            out.append(_check_complements(n))
-    for n in range(1, min(max_n, 14) + 1):
-        total = sum(cyclic.beta_cyc_table(n))
-        rows = sum(cyclic.cyclic_eulerian(n, k) for k in range(1, n + 1))
-        expected = math.factorial(n - 1)
-        out.append(_result(
-            f"cycle sum rules n={n}",
-            total == expected and rows == expected,
-            f"sum(beta_cyc)={total}, sum(C)={rows}, want {expected}"))
-    for n in range(1, min(max_n, 12) + 1):
-        total = sum(linear.beta_table(n))
-        out.append(_result(
-            f"beta sum rule n={n}", total == math.factorial(n),
-            f"sum={total}"))
-    for n in range(1, min(max_n, 18) + 1):
-        expected = cyclic.beta_cyc_mask(n, linear.kz_mask(n, 2))
-        got = cyclic.alternating_cycles(n)
-        out.append(_result(f"alternating cycles n={n}", got == expected,
-                           f"{got} != {expected}"))
-    kz_ok = True
-    kz_witness = ""
-    for n in range(1, min(max_n, 18) + 1):
+def _check_cycle_sum_rules(n: int) -> CheckResult:
+    total = sum(cyclic.beta_cyc_table(n))
+    rows = sum(cyclic.cyclic_eulerian(n, k) for k in range(1, n + 1))
+    expected = math.factorial(n - 1)
+    return _result(
+        f"cycle sum rules n={n}",
+        total == expected and rows == expected,
+        f"sum(beta_cyc)={total}, sum(C)={rows}, want {expected}")
+
+
+def _check_beta_sum_rule(n: int) -> CheckResult:
+    total = sum(linear.beta_table(n))
+    return _result(f"beta sum rule n={n}", total == math.factorial(n),
+                   f"sum={total}")
+
+
+def _check_alternating_cycles(n: int) -> CheckResult:
+    expected = cyclic.beta_cyc_mask(n, linear.kz_mask(n, 2))
+    got = cyclic.alternating_cycles(n)
+    return _result(f"alternating cycles n={n}", got == expected,
+                   f"{got} != {expected}")
+
+
+def _check_kz_cycles(max_n: int) -> CheckResult:
+    for n in range(1, max_n + 1):
         for k in range(1, 6):
             expected = cyclic.beta_cyc_mask(n, linear.kz_mask(n, k))
             got = cyclic.kz_cycles(n, k, check_corollaries=True)
             if got != expected:
-                kz_ok = False
-                kz_witness = f"n={n} k={k}: {got} != {expected}"
+                return _result("kz cycles vs beta_cyc (k<=5)", False,
+                               f"n={n} k={k}: {got} != {expected}")
+    return _result("kz cycles vs beta_cyc (k<=5)", True)
+
+
+def _check_spot_values() -> CheckResult:
+    return _result(
+        "spot values",
+        cyclic.alternating_cycles(4) == 1
+        and cyclic.alternating_cycles(8) == 173
+        and cyclic.kz_cycles(6, 3) == 3,
+        "alternating(4), alternating(8), kz(6,3)")
+
+
+def _check_alpha_cyc_subset_sums(n: int) -> CheckResult:
+    table = cyclic.beta_cyc_table(n)
+    for mask in range(1 << (n - 1)):
+        sub, acc = mask, 0
+        while True:
+            acc += table[sub]
+            if sub == 0:
                 break
-        if not kz_ok:
-            break
-    out.append(_result("kz cycles vs beta_cyc (k<=5)", kz_ok, kz_witness))
+            sub = (sub - 1) & mask
+        if acc != cyclic.alpha_cyc_mask(n, mask):
+            return _result(f"alpha_cyc subset sums n={n}", False,
+                           f"I={{{DescentSet(n, mask).to_text()}}}")
+    return _result(f"alpha_cyc subset sums n={n}", True)
+
+
+def suite_corollaries(max_n: int) -> list[CheckResult]:
+    """Prefix identity, gcd shortcuts, complements, sum rules, special sets."""
+    out = [_check_prefix_identity(n) for n in range(2, min(max_n, 14) + 1)]
+    out += [_check_gcd_shortcuts(n) for n in range(1, min(max_n, 14) + 1)]
+    out += [_check_complements(n) for n in range(1, min(max_n, 12) + 1)
+            if n % 4 != 2]
+    out += [_check_complements(n) for n in (6, 10) if n <= max_n]
+    out += [_check_cycle_sum_rules(n) for n in range(1, min(max_n, 14) + 1)]
+    out += [_check_beta_sum_rule(n) for n in range(1, min(max_n, 12) + 1)]
+    out += [_check_alternating_cycles(n) for n in range(1, min(max_n, 18) + 1)]
+    out.append(_check_kz_cycles(min(max_n, 18)))
     if max_n >= 8:
-        out.append(_result(
-            "spot values",
-            cyclic.alternating_cycles(4) == 1
-            and cyclic.alternating_cycles(8) == 173
-            and cyclic.kz_cycles(6, 3) == 3,
-            "alternating(4), alternating(8), kz(6,3)"))
-    for n in range(1, min(max_n, 10) + 1):
-        table = cyclic.beta_cyc_table(n)
-        bad = ""
-        for mask in range(1 << (n - 1)):
-            sub, acc = mask, 0
-            while True:
-                acc += table[sub]
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            if acc != cyclic.alpha_cyc_mask(n, mask):
-                bad = f"I={{{DescentSet(n, mask).to_text()}}}"
-                break
-        out.append(_result(f"alpha_cyc subset sums n={n}", not bad, bad))
+        out.append(_check_spot_values())
+    out += [_check_alpha_cyc_subset_sums(n) for n in range(1, min(max_n, 10) + 1)]
     return out
+
+
+def _check_word_counts(n: int) -> CheckResult:
+    for q in (1, 2, 3):
+        tally = oracle.brute_words(n, q)
+        for lam in lyndon.partitions_of(n):
+            for ev in itertools.product(range(n + 1), repeat=q):
+                if sum(ev) != n:
+                    continue
+                got = lyndon.count_words_by_type(lam, ev)
+                if got != tally.get((lam.parts, ev), 0):
+                    return _result(f"word counts vs enumeration n={n}", False,
+                                   f"type={lam.parts} ev={ev} q={q}")
+    return _result(f"word counts vs enumeration n={n}", True)
+
+
+def _check_type_sums(n: int) -> CheckResult:
+    betas = linear.beta_table(n)
+    parts = lyndon.partitions_of(n)
+    for mask in range(1 << (n - 1)):
+        I = DescentSet(n, mask)
+        total = sum(
+            lyndon.count_by_type_and_descents(lam, I, exact=True)
+            for lam in parts)
+        if total != betas[mask]:
+            return _result(f"type sums give beta n={n}", False,
+                           f"I={{{I.to_text()}}}")
+    return _result(f"type sums give beta n={n}", True)
 
 
 def suite_lyndon(max_n: int) -> list[CheckResult]:
     """Word counts against enumeration, factorization laws, necklace totals."""
-    out = []
-    for n in range(1, min(max_n, 8) + 1):
-        bad = ""
-        for q in (1, 2, 3):
-            tally = oracle.brute_words(n, q)
-            for lam in lyndon.partitions_of(n):
-                for ev in itertools.product(range(n + 1), repeat=q):
-                    if sum(ev) != n:
-                        continue
-                    got = lyndon.count_words_by_type(lam, ev)
-                    if got != tally.get((lam.parts, ev), 0):
-                        bad = f"type={lam.parts} ev={ev} q={q}"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        out.append(_result(f"word counts vs enumeration n={n}", not bad, bad))
-    for n in range(1, min(max_n, 8) + 1):
-        betas = linear.beta_table(n)
-        parts = lyndon.partitions_of(n)
-        bad = ""
-        for mask in range(1 << (n - 1)):
-            I = DescentSet(n, mask)
-            total = sum(
-                lyndon.count_by_type_and_descents(lam, I, exact=True)
-                for lam in parts)
-            if total != betas[mask]:
-                bad = f"I={{{I.to_text()}}}"
-                break
-        out.append(_result(f"type sums give beta n={n}", not bad, bad))
+    out = [_check_word_counts(n) for n in range(1, min(max_n, 8) + 1)]
+    out += [_check_type_sums(n) for n in range(1, min(max_n, 8) + 1)]
     for length in range(1, min(max_n, 10) + 1):
         bad = ""
         for word in itertools.product((1, 2, 3), repeat=length):

@@ -7,33 +7,23 @@ failure raises with a witness.
 """
 
 import json
-import math
 import time
 
-from descyc import asymptotics, cli, cyclic, linear, lyndon, patterns
-from descyc.core import DescentSet
+from descyc import asymptotics, cli, patterns, verify
 
 
 def _record(line):
     print(line)
 
 
-def test_criterion_1_oracle_gate(oracle_tables):
+def _assert_passed(results):
+    failures = [r for r in results if not r.ok]
+    assert results and not failures, failures
+
+
+def test_criterion_1_oracle_gate():
     start = time.monotonic()
-    for n in range(1, 10):
-        b_table, bc_table, _ = oracle_tables(n)
-        assert linear.beta_table(n) == list(b_table.counts), n
-        assert cyclic.beta_cyc_table(n) == list(bc_table.counts), n
-        for mask in range(1 << (n - 1)):
-            sub, a_sum, ac_sum = mask, 0, 0
-            while True:
-                a_sum += b_table.counts[sub]
-                ac_sum += bc_table.counts[sub]
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            assert linear.alpha_mask(n, mask) == a_sum, (n, mask)
-            assert cyclic.alpha_cyc_mask(n, mask) == ac_sum, (n, mask)
+    _assert_passed(verify.suite_oracle(9))
     elapsed = time.monotonic() - start
     assert elapsed < 180, f"oracle gate took {elapsed:.0f}s"
     _record(f"PASS criterion 1: oracle gate n<=9 ({elapsed:.1f}s)")
@@ -41,10 +31,7 @@ def test_criterion_1_oracle_gate(oracle_tables):
 
 def test_criterion_2_main_theorem_closure():
     start = time.monotonic()
-    for n in range(1, 13):
-        report = cyclic.verify_main_inversions(n)
-        assert report.ok, (n, report.counterexample)
-        assert report.checked == 1 << (n - 1)
+    _assert_passed(verify.suite_inversions(12))
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"closure took {elapsed:.0f}s"
     _record(f"PASS criterion 2: four-identity closure n<=12 ({elapsed:.1f}s)")
@@ -52,38 +39,10 @@ def test_criterion_2_main_theorem_closure():
 
 def test_criterion_3_corollary_suite():
     start = time.monotonic()
-    for n in range(2, 15):
-        bc = cyclic.beta_cyc_table(n)
-        prev = linear.beta_table(n - 1)
-        high = 1 << (n - 2)
-        for mask in range(high):
-            assert bc[mask] + bc[mask | high] == prev[mask], (n, mask)
-    for n in range(1, 15):
-        betas = linear.beta_table(n)
-        beta_cycs = cyclic.beta_cyc_table(n)
-        for mask in range(1 << (n - 1)):
-            elements = DescentSet(n, mask).elements()
-            g = math.gcd(n, *elements) if elements else n
-            if g == 1:
-                assert (linear.alpha_mask(n, mask)
-                        == n * cyclic.alpha_cyc_mask(n, mask)), (n, mask)
-            if n >= 2 and all(math.gcd(i, n) == 1 for i in elements):
-                sign = -1 if len(elements) & 1 else 1
-                assert betas[mask] == n * beta_cycs[mask] + sign, (n, mask)
-    for n in (6, 10):
-        table = cyclic.beta_cyc_table(n)
-        full = (1 << (n - 1)) - 1
-        for mask in range(1 << (n - 1)):
-            I = DescentSet(n, mask)
-            if sum(1 for i in I.elements() if i % 2) % 2 == 1:
-                assert cyclic.complement_delta(I) == table[mask] - table[full ^ mask]
-    for n in range(1, 13):
-        if n % 4 == 2:
-            continue
-        table = cyclic.beta_cyc_table(n)
-        full = (1 << (n - 1)) - 1
-        for mask in range(1 << (n - 1)):
-            assert table[mask] == table[full ^ mask], (n, mask)
+    _assert_passed(
+        [verify._check_prefix_identity(n) for n in range(2, 15)]
+        + [verify._check_gcd_shortcuts(n) for n in range(1, 15)]
+        + [verify._check_complements(n) for n in range(1, 13)])
     elapsed = time.monotonic() - start
     assert elapsed < 120, f"corollary suite took {elapsed:.0f}s"
     _record(f"PASS criterion 3: corollary suite ({elapsed:.1f}s)")
@@ -91,12 +50,9 @@ def test_criterion_3_corollary_suite():
 
 def test_criterion_4_sum_rules():
     start = time.monotonic()
-    for n in range(1, 15):
-        assert sum(cyclic.beta_cyc_table(n)) == math.factorial(n - 1), n
-        assert (sum(cyclic.cyclic_eulerian(n, k) for k in range(1, n + 1))
-                == math.factorial(n - 1)), n
-    for n in range(1, 13):
-        assert sum(linear.beta_table(n)) == math.factorial(n), n
+    _assert_passed(
+        [verify._check_cycle_sum_rules(n) for n in range(1, 15)]
+        + [verify._check_beta_sum_rule(n) for n in range(1, 13)])
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"sum rules took {elapsed:.0f}s"
     _record(f"PASS criterion 4: sum rules ({elapsed:.1f}s)")
@@ -104,78 +60,32 @@ def test_criterion_4_sum_rules():
 
 def test_criterion_5_special_descent_sets():
     start = time.monotonic()
-    for n in range(1, 19):
-        assert (cyclic.alternating_cycles(n)
-                == cyclic.beta_cyc_mask(n, linear.kz_mask(n, 2))), n
-        for k in range(1, 6):
-            expected = cyclic.beta_cyc_mask(n, linear.kz_mask(n, k))
-            got = cyclic.kz_cycles(n, k, check_corollaries=True)
-            assert got == expected, (n, k)
-    assert cyclic.alternating_cycles(4) == 1
-    assert cyclic.alternating_cycles(8) == 173
-    assert cyclic.kz_cycles(6, 3) == 3
+    _assert_passed(
+        [verify._check_alternating_cycles(n) for n in range(1, 19)]
+        + [verify._check_kz_cycles(18), verify._check_spot_values()])
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"special sets took {elapsed:.0f}s"
     _record(f"PASS criterion 5: special descent sets ({elapsed:.1f}s)")
 
 
-def test_criterion_6_word_counts(word_tallies, oracle_tables):
-    import itertools
-
+def test_criterion_6_word_counts():
     start = time.monotonic()
-    for n in range(1, 9):
-        for q in (1, 2, 3):
-            tally = word_tallies(n, q)
-            for lam in lyndon.partitions_of(n):
-                for ev in itertools.product(range(n + 1), repeat=q):
-                    if sum(ev) != n:
-                        continue
-                    expected = tally.get((lam.parts, ev), 0)
-                    assert lyndon.count_words_by_type(lam, ev) == expected, (
-                        n, q, lam.parts, ev)
-    for n in range(1, 9):
-        betas = linear.beta_table(n)
-        parts = lyndon.partitions_of(n)
-        for mask in range(1 << (n - 1)):
-            I = DescentSet(n, mask)
-            total = sum(
-                lyndon.count_by_type_and_descents(lam, I, exact=True)
-                for lam in parts)
-            assert total == betas[mask], (n, mask)
+    _assert_passed(
+        [verify._check_word_counts(n) for n in range(1, 9)]
+        + [verify._check_type_sums(n) for n in range(1, 9)])
     elapsed = time.monotonic() - start
     assert elapsed < 120, f"word counts took {elapsed:.0f}s"
     _record(f"PASS criterion 6: word counts by type ({elapsed:.1f}s)")
 
 
-def test_criterion_7_pattern_suite(pattern_profiles):
+def test_criterion_7_pattern_suite():
     start = time.monotonic()
     assert patterns.gamma(4) == 17
     assert patterns.gamma_star(4) == 6
     assert patterns.gamma_star(5) == 19
-    for n in range(1, 10):
-        profile = pattern_profiles(n)
-        g_beta = sum(linear.beta_mask(n, m)
-                     for m in patterns.bounded_composition_masks(n, 2))
-        gs_beta = sum(linear.beta_mask(n, m)
-                      for m in patterns.spaced_composition_masks(n, 2))
-        assert patterns.gamma(n) == g_beta == profile["incr"], n
-        assert patterns.gamma_star(n) == gs_beta == profile["decr_boundary"], n
-        assert patterns.cycles_avoiding_incr3(n) == profile["incr_cyc"], n
-        assert patterns.cycles_avoiding_decr3(n) == profile["decr_cyc"], n
     assert patterns.cycles_avoiding_incr3(4) == 4
     assert patterns.cycles_avoiding_decr3(4) == 4
-    for n in range(1, 15):
-        assert (patterns.cycles_avoiding_incr3(n)
-                == patterns.cycles_avoiding_monotone(n, 3, "incr")), n
-        assert (patterns.cycles_avoiding_decr3(n)
-                == patterns.cycles_avoiding_monotone(n, 3, "decr")), n
-    for n in range(1, 22):
-        if n % 4 != 2:
-            assert (patterns.cycles_avoiding_incr3(n)
-                    == patterns.cycles_avoiding_decr3(n)), n
-    for n in range(1, 201):
-        assert patterns.theta_divisor_sum(n) == patterns.theta(n), n
-        assert patterns.theta_tilde_divisor_sum(n) == patterns.theta_tilde(n), n
+    _assert_passed(verify.suite_patterns(21))
     elapsed = time.monotonic() - start
     assert elapsed < 180, f"pattern suite took {elapsed:.0f}s"
     _record(f"PASS criterion 7: pattern suite ({elapsed:.1f}s)")
@@ -183,18 +93,7 @@ def test_criterion_7_pattern_suite(pattern_profiles):
 
 def test_criterion_8_asymptotic_properties():
     start = time.monotonic()
-    for n in range(2, 15):
-        betas = linear.beta_table(n)
-        beta_cycs = cyclic.beta_cyc_table(n)
-        bound = n * math.factorial(n // 2)
-        for mask in range(1 << (n - 1)):
-            assert 2 * abs(n * beta_cycs[mask] - betas[mask]) <= bound, (n, mask)
-    for n in range(2, 19):
-        _, holds = asymptotics.alpha_deviation_scan(n)
-        assert holds, n
-    for n in range(2, 13):
-        report = asymptotics.bound_checks(n)
-        assert report.passed, (n, report.failures[:3])
+    _assert_passed(verify.suite_bounds(18))
     scan_start = time.monotonic()
     reports = [
         asymptotics.beta_deviation_scan(

@@ -23,6 +23,10 @@ def test_family_validation():
         Family.periodic(8, 2, (3,))
     with pytest.raises(DomainError):
         Family.periodic(8, 2, (1, 2))  # not proper within the period
+    # cut to [n-1], the set is the full set or empty: no proper member
+    for n, ell, pattern in ((2, 2, (1,)), (3, 3, (1, 2)), (1, 2, (1,)), (2, 2, (2,))):
+        with pytest.raises(DomainError):
+            Family.periodic(n, ell, pattern)
     with pytest.raises(DomainError):
         Family.alt_threshold(8, Fraction(1, 2))
     with pytest.raises(DomainError):

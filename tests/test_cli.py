@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from descyc import cyclic
 from descyc.cli import main
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "scan_report.schema.json"
@@ -26,6 +27,7 @@ def test_compute_values(capsys):
         (("compute", "eulerian", "--n", "4", "--k", "2"), "11"),
         (("compute", "eulerian-cyc", "--n", "4", "--k", "2"), "3"),
         (("compute", "euler", "--n", "8"), "1385"),
+        (("compute", "beta", "--n", "8", "--set", "2,4,6"), "1385"),
         (("compute", "euler-k", "--n", "6", "--k", "3"), "19"),
         (("compute", "kz-cycles", "--n", "6", "--k", "3"), "3"),
         (("compute", "gamma", "--n", "6"), "349"),
@@ -64,9 +66,24 @@ def test_compute_errors(capsys):
     code, _, err = run_cli(capsys, "compute", "type-descent-count",
                            "--type", "2,2", "--n", "5")
     assert code == 2
+    code, _, err = run_cli(capsys, "compute", "type-descent-count", "--type", "")
+    assert code == 2 and "cycle type ()" in err
     with pytest.raises(SystemExit) as exc:
         main(["compute", "nonsense", "--n", "4"])
     assert exc.value.code == 2
+
+
+def test_compute_beyond_digit_limit(capsys):
+    code, plain, _ = run_cli(capsys, "compute", "eulerian-cyc", "--n", "3000",
+                             "--k", "1500")
+    assert code == 0
+    code, doc, _ = run_cli(capsys, "compute", "eulerian-cyc", "--n", "3000",
+                           "--k", "1500", "--format", "json")
+    assert code == 0
+    expected = str(cyclic.cyclic_eulerian(3000, 1500))
+    assert len(expected) > 4300
+    assert plain.strip() == expected
+    assert str(json.loads(doc)["value"]) == expected
 
 
 def test_verify_commands(capsys):
@@ -123,6 +140,8 @@ def test_scan_range_and_formats(capsys):
 def test_scan_errors(capsys):
     code, _, err = run_cli(capsys, "scan", "--family", "bogus", "--n", "5")
     assert code == 2 and "bad family" in err
+    code, out, err = run_cli(capsys, "scan", "--family", "periodic:2:1", "--n", "2")
+    assert code == 2 and not out and "periodic:2:1" in err
     code, _, err = run_cli(capsys, "scan", "--family", "all-proper")
     assert code == 2
     code, _, err = run_cli(capsys, "scan", "--family", "all-proper",
@@ -185,12 +204,3 @@ def test_checked_in_golden_files_match(capsys):
     code, out, _ = run_cli(capsys, "golden", "--dir", str(GOLDEN_DIR),
                            "--max-n", "6")
     assert code == 0, out
-
-
-def test_cache_size_flag(capsys):
-    code, out, _ = run_cli(capsys, "--cache-size", "1024", "compute", "beta",
-                           "--n", "8", "--set", "2,4,6")
-    assert code == 0 and out.strip() == "1385"
-    code, _, err = run_cli(capsys, "--cache-size", "0", "compute", "beta",
-                           "--n", "8", "--set", "")
-    assert code == 2

@@ -13,7 +13,6 @@ from descyc.cyclic import (
     complement_delta,
     cyclic_eulerian,
     fixed_prefix_identity,
-    gcd_one_shortcuts,
     kz_cycles,
     verify_main_inversions,
 )
@@ -108,26 +107,6 @@ def test_fixed_prefix_identity():
             assert ok, (n, mask, lhs, rhs)
     with pytest.raises(DomainError):
         fixed_prefix_identity(4, DescentSet.from_elements(4, [3]))
-
-
-def test_gcd_shortcuts():
-    both = gcd_one_shortcuts(DescentSet.from_elements(5, [2]))
-    assert both.contained is not None and both.exact is not None
-    assert gcd_one_shortcuts(DescentSet.from_elements(4, [2])) is None
-    both_again = gcd_one_shortcuts(DescentSet.from_elements(6, [5]))
-    assert both_again.contained == (6, 6)
-    assert both_again.exact == (5, 5)
-    only_contained = gcd_one_shortcuts(DescentSet.from_elements(6, [2, 3]))
-    assert only_contained.contained is not None
-    assert only_contained.exact is None
-    for n in range(2, 15):
-        for mask in range(1 << (n - 1)):
-            I = DescentSet(n, mask)
-            result = gcd_one_shortcuts(I)  # self-asserting
-            elements = I.elements()
-            applies = (math.gcd(n, *elements) if elements else n) == 1 or all(
-                math.gcd(i, n) == 1 for i in elements)
-            assert (result is not None) == applies
 
 
 def test_alternating_cycles():

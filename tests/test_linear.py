@@ -4,7 +4,6 @@ import pytest
 
 from descyc.core import DescentSet, DomainError
 from descyc.linear import (
-    BetaEngine,
     Strategy,
     alpha,
     alpha_mask,
@@ -18,7 +17,6 @@ from descyc.linear import (
     kz_mask,
     kz_set,
     multinomial,
-    set_beta_cache_size,
 )
 
 ZIGZAG = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
@@ -46,17 +44,6 @@ def test_strategies_agree():
         for mask in range(1 << (n - 1)):
             assert (beta_mask(n, mask, Strategy.DP)
                     == beta_mask(n, mask, Strategy.INCLUSION_EXCLUSION)), (n, mask)
-
-
-def test_beta_engine():
-    dp = BetaEngine(Strategy.DP)
-    ie = BetaEngine(Strategy.INCLUSION_EXCLUSION, cache_size=4)
-    for n in range(1, 9):
-        for mask in range(1 << (n - 1)):
-            I = DescentSet(n, mask)
-            assert dp.count(I) == ie.count(I)
-    set_beta_cache_size(1 << 20)
-    assert beta(DescentSet.from_elements(4, [2])) == 5
 
 
 def test_beta_table_matches_pointwise():
