@@ -1,10 +1,12 @@
-"""Deviation scans and inequality sweeps behind the 1/n-fraction heuristic.
+"""Deviation scans behind the 1/n-fraction heuristic.
 
 The quantity of interest is |n * beta_cyc(I) / beta(I) - 1|, held as an
 exact rational: numerators come straight out of the signed divisor sum, so
 no comparison ever rounds.  Scans over all proper subsets shard the mask
 range into fixed chunks; the merge uses a total order (deviation, then the
 element tuple of the argmax), so worker count cannot change the result.
+The inequality sweeps and the divisor-count bound that these scans feed
+are checks, stated in ``verify``.
 """
 
 from __future__ import annotations
@@ -26,13 +28,8 @@ from .core import (
     divisors,
     mask_elements,
 )
-from .cyclic import (
-    _square_free_divisors,
-    alpha_cyc_mask,
-    beta_cyc_table,
-    signed_divisor_sum,
-)
-from .linear import alpha_mask, beta_table, euler_zigzag
+from .cyclic import _square_free_divisors, alpha_cyc_mask, signed_divisor_sum
+from .linear import alpha_mask, beta_table, kz_mask
 
 SCAN_CAP = 24
 _CHUNK_BITS = 6  # 64 fixed chunks; independent of the worker count
@@ -104,6 +101,8 @@ class Family:
             return 1
         if self.n == 1:
             return 1
+        # The alternation map sends subsets of [n-1] two-to-one onto subsets
+        # of [n-2], so the tally collapses to binomial sums.
         width = self.n - 2
         return 2 * sum(
             math.comb(width, a)
@@ -113,12 +112,7 @@ class Family:
 
     def members(self) -> Iterator[int]:
         """Member masks, ascending."""
-        n = self.n
-        if self.kind == "all-proper":
-            return iter(range(1, (1 << (n - 1)) - 1))
-        if self.kind == "periodic":
-            return iter((self._periodic_mask(),))
-        return self._alt_members(0, 1 << (n - 1))
+        return self.member_range(0, 1 << (self.n - 1))
 
     def _alt_members(self, start: int, stop: int) -> Iterator[int]:
         n, eps = self.n, self.epsilon
@@ -149,33 +143,17 @@ def _alt_qualifies(alt: int, n: int, epsilon: Fraction) -> bool:
 
 def almost_all_fraction(n: int, epsilon: Fraction) -> Fraction:
     """Fraction of subsets whose alternation number clears the threshold."""
-    epsilon = Fraction(epsilon)
-    if not 0 < epsilon < Fraction(1, 2):
-        raise DomainError(f"epsilon must be in (0, 1/2), got {epsilon}")
+    family = Family.alt_threshold(n, epsilon)
     if n < 1:
         raise DomainError(f"needs n >= 1, got {n}")
     if n > SCAN_CAP:
         raise CapacityError(f"capped at n = {SCAN_CAP}")
-    if n == 1:
-        return Fraction(1)
-    # The alternation map sends subsets of [n-1] two-to-one onto subsets of
-    # [n-2], so the tally collapses to binomial sums.
-    width = n - 2
-    hits = sum(
-        math.comb(width, a)
-        for a in range(width + 1)
-        if _alt_qualifies(a, n, epsilon)
-    )
-    return Fraction(hits, 1 << width)
+    return Fraction(family.member_count(), 1 << (n - 1))
 
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Outcome of one deviation scan.
-
-    chunks records the fixed shard count of the mask partition; it does
-    not vary with the worker count, so reports stay comparable.
-    """
+    """Outcome of one deviation scan."""
 
     n: int
     family: str
@@ -183,7 +161,6 @@ class ScanReport:
     argmax: Optional[DescentSet]
     member_count: Count
     elapsed_s: float
-    chunks: int = 1
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         doc = {
@@ -290,42 +267,28 @@ def beta_deviation_scan(family: Family, jobs: int = 1) -> ScanReport:
         argmax=DescentSet(n, mask),
         member_count=expected,
         elapsed_s=time.monotonic() - start,
-        chunks=len(bounds),
     )
 
 
 def _shared_prime_masks(n: int) -> list[int]:
-    # masks supported on multiples of a prime divisor of n; every other
-    # nonempty set has gcd 1 with n and contributes deviation exactly 0
-    primes = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
+    # masks supported on multiples of a prime divisor of n (every d > 1
+    # dividing n has one, so walking all such d gives the same set); every
+    # other nonempty set has gcd 1 with n and contributes deviation exactly 0
     masks: set[int] = set()
-    for p in primes:
-        positions = [i - 1 for i in range(p, n, p)]
-        for sub in range(1, 1 << len(positions)):
-            mask = 0
-            for b, pos in enumerate(positions):
-                if sub >> b & 1:
-                    mask |= 1 << pos
-            masks.add(mask)
+    for d in divisors(n)[1:]:
+        multiples = kz_mask(n, d)
+        sub = multiples
+        while sub:
+            masks.add(sub)
+            sub = (sub - 1) & multiples
     return sorted(masks)
 
 
-def alpha_deviation_scan(n: int) -> tuple[ScanReport, bool]:
+def alpha_deviation_scan(n: int) -> ScanReport:
     """Exact max of |n * alpha_cyc / alpha - 1| over nonempty subsets.
 
     Sets whose gcd with n is 1 deviate by exactly 0, so only masks
-    supported on multiples of a shared prime are enumerated.  Also reports
-    whether the max respects the divisor-count bound d(n) / sqrt(n).
+    supported on multiples of a shared prime are enumerated.
     """
     if not 2 <= n <= SCAN_CAP:
         raise DomainError(f"needs 2 <= n <= {SCAN_CAP}, got {n}")
@@ -336,9 +299,7 @@ def alpha_deviation_scan(n: int) -> tuple[ScanReport, bool]:
         num = abs(n * alpha_cyc_mask(n, mask) - alpha)
         best = _better(best, (num, alpha, mask))
     num, den, mask = best
-    d_n = len(divisors(n))
-    holds = num * num * n <= d_n * d_n * den * den
-    report = ScanReport(
+    return ScanReport(
         n=n,
         family="alpha-nonempty",
         max_deviation=Fraction(num, den),
@@ -346,72 +307,3 @@ def alpha_deviation_scan(n: int) -> tuple[ScanReport, bool]:
         member_count=(1 << (n - 1)) - 1,
         elapsed_s=time.monotonic() - start,
     )
-    return report, holds
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of the inequality sweep at one ambient size."""
-
-    n: int
-    checked: int
-    passed: bool
-    failures: tuple[str, ...]
-
-
-def _even_run_mask(k: int) -> int:
-    # {2, 4, ..., 2k}
-    mask = 0
-    for i in range(1, k + 1):
-        mask |= 1 << (2 * i - 1)
-    return mask
-
-
-def _odd_run_mask(k: int) -> int:
-    # {1, 3, ..., 2k-1}
-    mask = 0
-    for i in range(1, k + 1):
-        mask |= 1 << (2 * i - 2)
-    return mask
-
-
-def bound_checks(n: int) -> BoundReport:
-    """Sweep the proven inequalities over every subset at ambient n.
-
-    Covers: the floor(n/2)! gap bound; minimization of beta by the
-    alternating staircase of the same alternation number; its truncation
-    to any shorter even staircase; the half-binomial zigzag lower bound;
-    and the two-term staircase identity it rests on.
-    """
-    if n < 2:
-        raise DomainError(f"needs n >= 2, got {n}")
-    if n > 20:
-        raise CapacityError("bound sweep capped at n = 20")
-    betas = beta_table(n)
-    beta_cycs = beta_cyc_table(n)
-    failures: list[str] = []
-    half_fact = math.factorial(n // 2)
-    checked = 0
-    for mask in range(1 << (n - 1)):
-        checked += 1
-        witness = DescentSet(n, mask).to_text
-        gap = n * beta_cycs[mask] - betas[mask]
-        if 2 * abs(gap) > n * half_fact:
-            failures.append(f"gap bound: I={{{witness()}}} gap={gap}")
-        alt = alternation_mask(mask, n).bit_count()
-        stair = _even_run_mask(alt // 2) if alt % 2 == 0 else _odd_run_mask((alt + 1) // 2)
-        if betas[mask] < betas[stair]:
-            failures.append(f"staircase minimization: I={{{witness()}}} alt={alt}")
-        for k in range(alt // 2 + 1):
-            if betas[mask] < betas[_even_run_mask(k)]:
-                failures.append(f"even staircase 2k={2 * k}: I={{{witness()}}}")
-    for k in range(n // 4 + 1):
-        lhs = 2 * betas[_even_run_mask(k)]
-        rhs = math.comb(n, 2 * k) * euler_zigzag(2 * k)
-        if lhs < rhs:
-            failures.append(f"half-binomial zigzag bound at 2k={2 * k}")
-    for i in range(1, (n - 1) // 2 + 1):
-        lhs = betas[_even_run_mask(i - 1)] + betas[_even_run_mask(i)]
-        if lhs != math.comb(n, 2 * i) * euler_zigzag(2 * i):
-            failures.append(f"staircase pair identity at 2i={2 * i}")
-    return BoundReport(n, checked, not failures, tuple(failures))

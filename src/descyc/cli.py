@@ -2,9 +2,11 @@
 suites, drive deviation scans, print sequences, and manage golden CSVs.
 
 Exit codes are stable for CI use: 0 success, 1 a verification or golden
-comparison failed, 2 usage or domain error.  Output is byte-identical
-across repeated runs and across --jobs settings; timing is only included
-when --timing is passed, since it is inherently nondeterministic.
+comparison failed, 2 usage or domain error, 3 an internal error (a
+violated invariant or any other unexpected exception; the traceback goes
+to stderr).  Output is byte-identical across repeated runs and across
+--jobs settings; timing is only included when --timing is passed, since it
+is inherently nondeterministic.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
 from . import asymptotics, cyclic, linear, lyndon, oracle, patterns, verify
-from .core import DescentSet, DomainError, InvariantViolation, csv_field
+from .core import DescentSet, DomainError, csv_field
 
 STATISTICS = (
     "alpha", "beta", "alpha-cyc", "beta-cyc", "eulerian", "eulerian-cyc",
@@ -361,9 +364,10 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvariantViolation as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        raise
+    except Exception:
+        # a bug, not bad input; exit 1 stays reserved for failed checks
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

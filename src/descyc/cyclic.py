@@ -3,20 +3,19 @@
 Every formula here reduces cycle counts to the all-permutation counts of
 ``linear`` through signed divisor sums, plus the closed forms those sums
 specialize to for structured descent sets (Eulerian-by-count, alternating,
-multiples of k).  All divisions by n check the remainder: the integrality
-is a theorem, so a nonzero remainder means a bug and aborts loudly.
+multiples of k).  This module only counts: the identities tying these
+formulas to each other and to enumeration are stated and checked in
+``verify``.  All divisions by n check the remainder: the integrality is a
+theorem, so a nonzero remainder means a bug and aborts loudly.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 from .core import (
-    CapacityError,
     Count,
     DescentSet,
     DomainError,
@@ -30,13 +29,11 @@ from .core import (
 )
 from .linear import (
     alpha_mask,
-    alpha_table,
     beta_mask,
     beta_table,
     eulerian,
     euler_zigzag,
     generalized_euler,
-    kz_mask,
 )
 
 
@@ -117,50 +114,6 @@ def beta_cyc_table(n: int) -> list[Count]:
             for mask in range(1 << (n - 1))]
 
 
-@dataclass(frozen=True)
-class InversionReport:
-    """Outcome of the exhaustive cross-inversion check at one ambient size."""
-
-    n: int
-    checked: int
-    ok: bool
-    counterexample: Optional[tuple[str, str, Count, Count]] = None
-
-
-def verify_main_inversions(n: int) -> InversionReport:
-    """Check both inverse identities for every subset of {1, ..., n-1}.
-
-    For each I: alpha equals the divisor sum of scaled alpha_cyc values over
-    d | gcd(I u {n}), and beta equals the signed divisor sum of scaled
-    beta_cyc values over d | n.  Returns the first counterexample, if any.
-    """
-    if not 1 <= n <= 20:
-        raise CapacityError(f"exhaustive inversion check capped at n = 20, got {n}")
-    alphas = alpha_table(n)
-    betas = beta_table(n)
-    checked = 0
-    for mask in range(1 << (n - 1)):
-        size = mask.bit_count()
-        lhs_a = 0
-        for d in divisors(mask_gcd(n, mask)):
-            lhs_a += (n // d) * alpha_cyc_mask(n // d, quotient_mask(mask, d, n))
-        if lhs_a != alphas[mask]:
-            witness = DescentSet(n, mask).to_text()
-            return InversionReport(n, checked, False,
-                                   ("alpha-from-alpha-cyc", witness, lhs_a, alphas[mask]))
-        lhs_b = 0
-        for d in divisors(n):
-            q = quotient_mask(mask, d, n)
-            sign = -1 if (size - q.bit_count()) & 1 else 1
-            lhs_b += sign * (n // d) * beta_cyc_mask(n // d, q)
-        if lhs_b != betas[mask]:
-            witness = DescentSet(n, mask).to_text()
-            return InversionReport(n, checked, False,
-                                   ("beta-from-beta-cyc", witness, lhs_b, betas[mask]))
-        checked += 1
-    return InversionReport(n, checked, True)
-
-
 def cyclic_eulerian(n: int, k: int) -> Count:
     """n-cycles with exactly k-1 descents."""
     if not 1 <= k <= n:
@@ -178,20 +131,6 @@ def cyclic_eulerian(n: int, k: int) -> Count:
     if value < 0:
         raise InvariantViolation(f"cyclic_eulerian negative: n={n} k={k}")
     return value
-
-
-def fixed_prefix_identity(n: int, I: DescentSet) -> tuple[Count, Count, bool]:
-    """Pair beta_cyc over {I, I u {n-1}} against beta at size n-1.
-
-    I must avoid n-1; returns (left side, right side, equality flag).
-    """
-    if n < 2:
-        raise DomainError("fixed prefix identity needs n >= 2")
-    if I.n != n or (n >= 2 and (n - 1) in I):
-        raise DomainError(f"set {I.to_text()} must lie inside [1, {n - 2}]")
-    lhs = beta_cyc_mask(n, I.mask) + beta_cyc_mask(n, I.mask | 1 << (n - 2))
-    rhs = beta_mask(n - 1, I.mask)
-    return lhs, rhs, lhs == rhs
 
 
 def alternating_cycles(n: int) -> Count:
@@ -224,6 +163,7 @@ def _kz_general(n: int, k: int) -> Count:
 
 
 def _kz_coprime(n: int, k: int) -> Count:
+    """kz_cycles(n, k) when gcd(k, n) = 1."""
     base = (n - 1) // k
     total = 0
     for d, mu in _square_free_divisors(n):
@@ -232,13 +172,8 @@ def _kz_coprime(n: int, k: int) -> Count:
     return exact_div(total, n, "kz_cycles coprime branch")
 
 
-def _is_odd_prime(k: int) -> bool:
-    if k < 3 or k % 2 == 0:
-        return False
-    return all(k % p for p in range(3, math.isqrt(k) + 1, 2))
-
-
 def _kz_odd_prime(n: int, p: int) -> Count:
+    """kz_cycles(n, p) when p is an odd prime."""
     if n % p:
         return _kz_coprime(n, p)
     m = n
@@ -256,58 +191,13 @@ def _kz_odd_prime(n: int, p: int) -> Count:
     return exact_div(total, n, "kz odd-prime branch")
 
 
-def kz_cycles(n: int, k: int, check_corollaries: bool = False) -> Count:
+def kz_cycles(n: int, k: int) -> Count:
     """n-cycles whose descent set is the multiples of k below n.
 
-    The general signed divisor sum is the single fast path; with
-    check_corollaries the simplified coprime and odd-prime forms are also
-    evaluated where their hypotheses hold and must agree.
+    This is the general signed divisor sum.  The simplified coprime and
+    odd-prime forms (_kz_coprime, _kz_odd_prime) hold only under their
+    hypotheses; the verify suite compares them with this one.
     """
     if n < 1 or k < 1:
         raise DomainError(f"kz cycles needs n, k >= 1, got {n}, {k}")
-    value = _kz_general(n, k)
-    if check_corollaries:
-        if math.gcd(k, n) == 1:
-            other = _kz_coprime(n, k)
-            if other != value:
-                raise InvariantViolation(
-                    f"kz coprime branch disagrees at n={n} k={k}: {other} != {value}")
-        if _is_odd_prime(k):
-            other = _kz_odd_prime(n, k)
-            if other != value:
-                raise InvariantViolation(
-                    f"kz odd-prime branch disagrees at n={n} k={k}: {other} != {value}")
-    return value
-
-
-def complement_delta(I: DescentSet) -> Count:
-    """beta_cyc difference between I and its complement, for n = 2 mod 4.
-
-    Requires I to carry an odd number of odd elements; the difference then
-    equals beta_cyc of I/2 at ambient n/2, which is returned.
-    """
-    n = I.n
-    if n % 4 != 2:
-        raise DomainError(f"complement delta needs n = 2 mod 4, got {n}")
-    odd_elements = sum(1 for i in I.elements() if i % 2)
-    if odd_elements % 2 == 0:
-        raise DomainError(
-            f"set {I.to_text()!r} must contain an odd number of odd elements")
-    delta = beta_cyc_mask(n, I.mask) - beta_cyc_mask(n, I.complement().mask)
-    value = beta_cyc_mask(n // 2, quotient_mask(I.mask, 2, n))
-    if delta != value:
-        raise InvariantViolation(
-            f"complement delta mismatch at n={n} I={I.to_text()}: {delta} != {value}")
-    if n >= 6:
-        # At n = 2 the half-size empty set contributes 1, so the zero test
-        # below only characterizes equality from n = 6 on.
-        evens = I.mask & _even_mask(n)
-        no_evens = evens == 0 or evens == _even_mask(n)
-        if (delta == 0) != no_evens:
-            raise InvariantViolation(
-                f"complement equality criterion failed at n={n} I={I.to_text()}")
-    return value
-
-
-def _even_mask(n: int) -> int:
-    return kz_mask(n, 2)
+    return _kz_general(n, k)

@@ -1,5 +1,7 @@
 """Named verification suites: every identity the package relies on, run
 exhaustively up to per-check size caps and reported one line per check.
+This is the one module that states identities and reports their failures;
+the counting modules only count.
 
 Each suite clamps the requested max size to the cap its checks are rated
 for, so `run_suite("all", 9)` stays fast while larger explicit requests
@@ -13,7 +15,16 @@ import math
 from dataclasses import dataclass
 
 from . import asymptotics, cyclic, linear, lyndon, oracle, patterns
-from .core import DescentSet, DomainError, InvariantViolation, divisors, mobius
+from .core import (
+    DescentSet,
+    DomainError,
+    InvariantViolation,
+    alternation_mask,
+    divisors,
+    mask_gcd,
+    mobius,
+    quotient_mask,
+)
 
 SUITES = ("oracle", "inversions", "corollaries", "lyndon", "patterns",
           "bounds", "all")
@@ -81,11 +92,38 @@ def suite_oracle(max_n: int) -> list[CheckResult]:
 
 
 def _check_inversions(n: int) -> CheckResult:
-    rep = cyclic.verify_main_inversions(n)
-    if not rep.ok:
-        return _result(f"inversion closure n={n}", False, str(rep.counterexample))
-    return _result(f"inversion closure n={n}", rep.checked == 1 << (n - 1),
-                   f"checked {rep.checked} sets")
+    """Both inverse identities for every subset of {1, ..., n-1}.
+
+    For each I: alpha equals the divisor sum of scaled alpha_cyc values over
+    d | gcd(I u {n}), and beta equals the signed divisor sum of scaled
+    beta_cyc values over d | n.  The beta side writes out its quotients and
+    signs instead of calling cyclic.signed_divisor_sum, which it checks.
+    """
+    label = f"inversion closure n={n}"
+    alphas = linear.alpha_table(n)
+    betas = linear.beta_table(n)
+    checked = 0
+    for mask in range(1 << (n - 1)):
+        size = mask.bit_count()
+        lhs_a = 0
+        for d in divisors(mask_gcd(n, mask)):
+            q = quotient_mask(mask, d, n)
+            lhs_a += (n // d) * cyclic.alpha_cyc_mask(n // d, q)
+        if lhs_a != alphas[mask]:
+            witness = DescentSet(n, mask).to_text()
+            return _result(label, False, str(
+                ("alpha-from-alpha-cyc", witness, lhs_a, alphas[mask])))
+        lhs_b = 0
+        for d in divisors(n):
+            q = quotient_mask(mask, d, n)
+            sign = -1 if (size - q.bit_count()) & 1 else 1
+            lhs_b += sign * (n // d) * cyclic.beta_cyc_mask(n // d, q)
+        if lhs_b != betas[mask]:
+            witness = DescentSet(n, mask).to_text()
+            return _result(label, False, str(
+                ("beta-from-beta-cyc", witness, lhs_b, betas[mask])))
+        checked += 1
+    return _result(label, checked == 1 << (n - 1), f"checked {checked} sets")
 
 
 def suite_inversions(max_n: int) -> list[CheckResult]:
@@ -127,6 +165,14 @@ def _check_gcd_shortcuts(n: int) -> CheckResult:
 
 
 def _check_complements(n: int) -> CheckResult:
+    """beta_cyc against its value at the complement of I.
+
+    Off n = 2 mod 4 the two are equal.  At n = 2 mod 4, for I with an odd
+    number of odd elements, beta_cyc(I) - beta_cyc(complement) is
+    beta_cyc(I/2) at n/2 (so never negative), and it is zero exactly when I
+    holds no even element or every even element.  The difference comes
+    from the table, the half-size value from the point formula.
+    """
     table = cyclic.beta_cyc_table(n)
     full = (1 << (n - 1)) - 1
     label = f"complements n={n}"
@@ -136,22 +182,22 @@ def _check_complements(n: int) -> CheckResult:
                 return _result(label, False,
                                f"I={{{DescentSet(n, mask).to_text()}}}")
         return _result(label, True)
+    evens = linear.kz_mask(n, 2)
     for mask in range(1 << (n - 1)):
-        I = DescentSet(n, mask)
-        odd_count = sum(1 for i in I.elements() if i % 2)
-        if odd_count % 2 == 0:
+        if (mask & ~evens).bit_count() % 2 == 0:
             continue
+        witness = DescentSet(n, mask).to_text
         delta = table[mask] - table[full ^ mask]
         if delta < 0:
+            return _result(label, False, f"inequality at I={{{witness()}}}")
+        if delta != cyclic.beta_cyc_mask(n // 2, quotient_mask(mask, 2, n)):
             return _result(label, False,
-                           f"inequality at I={{{I.to_text()}}}")
-        try:
-            half = cyclic.complement_delta(I)
-        except InvariantViolation as exc:
-            return _result(label, False, str(exc))
-        if delta != half:
+                           f"half-size identity at I={{{witness()}}}")
+        # At n = 2 the half-size empty set contributes 1, so the zero test
+        # only characterizes equality from n = 6 on.
+        if n >= 6 and (delta == 0) != (mask & evens in (0, evens)):
             return _result(label, False,
-                           f"half-size identity at I={{{I.to_text()}}}")
+                           f"equality criterion at I={{{witness()}}}")
     return _result(label, True)
 
 
@@ -178,15 +224,32 @@ def _check_alternating_cycles(n: int) -> CheckResult:
                    f"{got} != {expected}")
 
 
+def _is_odd_prime(k: int) -> bool:
+    if k < 3 or k % 2 == 0:
+        return False
+    return all(k % p for p in range(3, math.isqrt(k) + 1, 2))
+
+
 def _check_kz_cycles(max_n: int) -> CheckResult:
+    """kz_cycles, and its coprime and odd-prime forms where they hold."""
+    label = "kz cycles vs beta_cyc (k<=5)"
     for n in range(1, max_n + 1):
         for k in range(1, 6):
             expected = cyclic.beta_cyc_mask(n, linear.kz_mask(n, k))
-            got = cyclic.kz_cycles(n, k, check_corollaries=True)
-            if got != expected:
-                return _result("kz cycles vs beta_cyc (k<=5)", False,
-                               f"n={n} k={k}: {got} != {expected}")
-    return _result("kz cycles vs beta_cyc (k<=5)", True)
+            forms = [("", cyclic.kz_cycles)]
+            if math.gcd(k, n) == 1:
+                forms.append(("coprime form ", cyclic._kz_coprime))
+            if _is_odd_prime(k):
+                forms.append(("odd-prime form ", cyclic._kz_odd_prime))
+            for name, form in forms:
+                try:
+                    got = form(n, k)
+                except InvariantViolation as exc:
+                    return _result(label, False, f"{name}n={n} k={k}: {exc}")
+                if got != expected:
+                    return _result(label, False,
+                                   f"{name}n={n} k={k}: {got} != {expected}")
+    return _result(label, True)
 
 
 def _check_spot_values() -> CheckResult:
@@ -340,18 +403,62 @@ def suite_patterns(max_n: int) -> list[CheckResult]:
     return out
 
 
+def _even_run_mask(k: int) -> int:
+    # {2, 4, ..., 2k}
+    return linear.kz_mask(2 * k + 1, 2)
+
+
+def _check_inequalities(n: int) -> CheckResult:
+    """Sweep the proven inequalities over every subset at ambient n.
+
+    Covers: the floor(n/2)! gap bound; minimization of beta by the
+    alternating staircase of the same alternation number; its truncation
+    to any shorter even staircase; the half-binomial zigzag lower bound;
+    and the two-term staircase identity it rests on.
+    """
+    betas = linear.beta_table(n)
+    beta_cycs = cyclic.beta_cyc_table(n)
+    failures: list[str] = []
+    half_fact = math.factorial(n // 2)
+    for mask in range(1 << (n - 1)):
+        witness = DescentSet(n, mask).to_text
+        gap = n * beta_cycs[mask] - betas[mask]
+        if 2 * abs(gap) > n * half_fact:
+            failures.append(f"gap bound: I={{{witness()}}} gap={gap}")
+        alt = alternation_mask(mask, n).bit_count()
+        # the staircase {2, 4, ..., alt} or {1, 3, ..., alt}
+        stair = _even_run_mask((alt + 1) // 2) >> (alt % 2)
+        if betas[mask] < betas[stair]:
+            failures.append(f"staircase minimization: I={{{witness()}}} alt={alt}")
+        for k in range(alt // 2 + 1):
+            if betas[mask] < betas[_even_run_mask(k)]:
+                failures.append(f"even staircase 2k={2 * k}: I={{{witness()}}}")
+    for k in range(n // 4 + 1):
+        lhs = 2 * betas[_even_run_mask(k)]
+        rhs = math.comb(n, 2 * k) * linear.euler_zigzag(2 * k)
+        if lhs < rhs:
+            failures.append(f"half-binomial zigzag bound at 2k={2 * k}")
+    for i in range(1, (n - 1) // 2 + 1):
+        lhs = betas[_even_run_mask(i - 1)] + betas[_even_run_mask(i)]
+        if lhs != math.comb(n, 2 * i) * linear.euler_zigzag(2 * i):
+            failures.append(f"staircase pair identity at 2i={2 * i}")
+    return _result(f"inequality sweep n={n}", not failures,
+                   "; ".join(failures[:3]))
+
+
+def _check_alpha_deviation_bound(n: int) -> CheckResult:
+    """The max alpha deviation stays within d(n) / sqrt(n)."""
+    dev = asymptotics.alpha_deviation_scan(n).max_deviation
+    d_n = len(divisors(n))
+    holds = dev.numerator ** 2 * n <= d_n ** 2 * dev.denominator ** 2
+    return _result(f"alpha deviation bound n={n}", holds,
+                   f"max deviation {dev}")
+
+
 def suite_bounds(max_n: int) -> list[CheckResult]:
     """Inequality sweeps and the divisor-count deviation bound."""
-    out = []
-    for n in range(2, min(max_n, 14) + 1):
-        rep = asymptotics.bound_checks(n)
-        witness = "; ".join(rep.failures[:3])
-        out.append(_result(f"inequality sweep n={n}", rep.passed, witness))
-    for n in range(2, min(max_n, 18) + 1):
-        report, holds = asymptotics.alpha_deviation_scan(n)
-        out.append(_result(
-            f"alpha deviation bound n={n}", holds,
-            f"max deviation {report.max_deviation}"))
+    out = [_check_inequalities(n) for n in range(2, min(max_n, 14) + 1)]
+    out += [_check_alpha_deviation_bound(n) for n in range(2, min(max_n, 18) + 1)]
     return out
 
 

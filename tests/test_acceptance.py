@@ -120,6 +120,7 @@ def test_criterion_9_determinism(tmp_path, capsys):
     code = cli.main(["verify", "all", "--max-n", "9"])
     out_first = capsys.readouterr().out
     assert code == 0, out_first
+    assert out_first.splitlines()[-1] == "160/160 checks passed"
     target = tmp_path / "golden"
     assert cli.main(["golden", "--dir", str(target), "--bless", "--max-n", "6"]) == 0
     capsys.readouterr()

@@ -7,7 +7,6 @@ from descyc.asymptotics import (
     almost_all_fraction,
     alpha_deviation_scan,
     beta_deviation_scan,
-    bound_checks,
 )
 from descyc.core import CapacityError, DescentSet, DomainError, alternation_mask
 from descyc.cyclic import alpha_cyc_mask, beta_cyc_mask
@@ -83,27 +82,17 @@ def test_beta_scan_errors():
 
 
 def test_alpha_scan():
-    report, holds = alpha_deviation_scan(5)
-    assert report.max_deviation == 0 and holds
+    report = alpha_deviation_scan(5)
+    assert report.max_deviation == 0
     assert report.argmax.elements() == (1,)
     for n in range(2, 15):
-        report, holds = alpha_deviation_scan(n)
+        report = alpha_deviation_scan(n)
         direct = max(
             abs(Fraction(n * alpha_cyc_mask(n, m), alpha_mask(n, m)) - 1)
             for m in range(1, 1 << (n - 1)))
         assert report.max_deviation == direct, n
-        assert holds, n
     with pytest.raises(DomainError):
         alpha_deviation_scan(1)
-
-
-def test_bound_checks():
-    for n in range(2, 13):
-        report = bound_checks(n)
-        assert report.passed, (n, report.failures[:3])
-        assert report.checked == 1 << (n - 1)
-    with pytest.raises(DomainError):
-        bound_checks(1)
 
 
 def test_almost_all_fraction_examples():

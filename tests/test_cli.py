@@ -6,6 +6,7 @@ import pytest
 
 from descyc import cyclic
 from descyc.cli import main
+from descyc.core import InvariantViolation
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "scan_report.schema.json"
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
@@ -84,6 +85,21 @@ def test_compute_beyond_digit_limit(capsys):
     assert len(expected) > 4300
     assert plain.strip() == expected
     assert str(json.loads(doc)["value"]) == expected
+
+
+def test_internal_errors_exit_3(capsys, monkeypatch):
+    def violated(n, k):
+        raise InvariantViolation("planted")
+
+    monkeypatch.setattr(cyclic, "cyclic_eulerian", violated)
+    code, out, err = run_cli(capsys, "compute", "eulerian-cyc", "--n", "4",
+                             "--k", "2")
+    assert code == 3 and not out
+    assert "Traceback" in err and "InvariantViolation: planted" in err
+    monkeypatch.setattr(cyclic, "cyclic_eulerian", lambda n, k: n // 0)
+    code, _, err = run_cli(capsys, "compute", "eulerian-cyc", "--n", "4",
+                           "--k", "2")
+    assert code == 3 and "ZeroDivisionError" in err
 
 
 def test_verify_commands(capsys):

@@ -6,7 +6,7 @@ Derandomized, so every run draws the same examples.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from descyc.core import MAX_N, divisors
+from descyc.core import MAX_N, DescentSet, composition_of, divisors, set_of
 from descyc.cyclic import beta_cyc_mask
 from descyc.linear import Strategy, beta_mask
 
@@ -14,13 +14,17 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 @st.composite
-def descent_sets(draw, max_size=None):
-    """(n, mask) with n in 1..MAX_N and at most max_size elements."""
-    n = draw(st.integers(1, MAX_N))
+def descent_sets(draw, sizes=st.integers(1, MAX_N), max_size=None):
+    """(n, mask) with n drawn from sizes and at most max_size elements."""
+    n = draw(sizes)
     if n == 1:
         return n, 0
     elements = draw(st.sets(st.integers(1, n - 1), max_size=max_size))
     return n, sum(1 << (i - 1) for i in elements)
+
+
+def _elements(n, mask):
+    return [i for i in range(1, n) if mask >> (i - 1) & 1]
 
 
 @PROPERTY
@@ -28,7 +32,7 @@ def descent_sets(draw, max_size=None):
 def test_beta_from_beta_cyc_pointwise(case):
     # beta(I) = sum over d | n of (-1)**(|I| - |I/d|) * (n/d) * beta_cyc(I/d)
     n, mask = case
-    elements = [i for i in range(1, n) if mask >> (i - 1) & 1]
+    elements = _elements(n, mask)
     total = 0
     for d in divisors(n):
         kept = [i // d for i in elements if i % d == 0]
@@ -50,3 +54,42 @@ def test_dp_matches_inclusion_exclusion(case):
     n, mask = case
     assert (beta_mask(n, mask, Strategy.DP)
             == beta_mask(n, mask, Strategy.INCLUSION_EXCLUSION))
+
+
+@PROPERTY
+@given(descent_sets(sizes=st.integers(1, MAX_N).filter(lambda n: n % 4 != 2)))
+def test_complement_symmetry(case):
+    n, mask = case
+    full = (1 << (n - 1)) - 1
+    assert beta_cyc_mask(n, mask) == beta_cyc_mask(n, full ^ mask)
+
+
+@PROPERTY
+@given(descent_sets(sizes=st.integers(0, (MAX_N - 2) // 4).map(lambda t: 4 * t + 2)))
+def test_complement_half_size(case):
+    # n = 2 mod 4 and I with an odd number of odd elements:
+    # beta_cyc(I) - beta_cyc(complement) = beta_cyc(I/2 at n/2), and from
+    # n = 6 on it is zero exactly when I has no even element or all of them
+    n, mask = case
+    full = (1 << (n - 1)) - 1
+    if sum(1 for i in _elements(n, mask) if i % 2) % 2 == 0:
+        mask ^= full  # [n-1] has n/2 odd elements, an odd number
+    evens = [i for i in _elements(n, mask) if i % 2 == 0]
+    half = sum(1 << (i // 2 - 1) for i in evens)
+    delta = beta_cyc_mask(n, mask) - beta_cyc_mask(n, full ^ mask)
+    assert delta == beta_cyc_mask(n // 2, half)
+    if n >= 6:
+        assert (delta == 0) == (len(evens) in (0, n // 2 - 1))
+
+
+@PROPERTY
+@given(descent_sets())
+def test_codec_round_trips(case):
+    n, mask = case
+    I = DescentSet(n, mask)
+    text = I.to_text()
+    assert text == ",".join(str(i) for i in _elements(n, mask))
+    assert DescentSet.from_text(n, text) == I
+    mu = composition_of(I)
+    assert mu.n == n
+    assert set_of(mu) == I
