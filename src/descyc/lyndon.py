@@ -6,6 +6,13 @@ The number of Lyndon words of length n with a given letter multiset comes
 from a Moebius divisor sum over multinomials; counts for arbitrary types
 convolve those across part lengths, treating equal-length factors as an
 unordered selection with repetition.
+
+By Gessel & Reutenauer ("Counting permutations with given cycle structure
+and descent set", JCTA 64, 1993) the number of words with Lyndon type lam
+and evaluation mu is the coefficient of x^mu in a symmetric function, so it
+depends only on the nonzero parts of mu, sorted.  The convolution is
+therefore memoized on (lam, sorted mu): the 2^(n-1) compositions of n
+share the p(n) partitions of n as keys.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .core import (
     exact_div,
     mobius,
 )
-from .linear import multinomial
+from .linear import MEMO_SIZE, multinomial
 
 Word = tuple[int, ...]
 
@@ -162,7 +169,7 @@ def _multiset_choose(objects: Count, copies: int) -> Count:
     return math.comb(objects + copies - 1, copies)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _length_class_table(
     length: int, copies: int, bound: tuple[int, ...]
 ) -> dict[tuple[int, ...], Count]:
@@ -200,6 +207,12 @@ def count_words_by_type(lam: Partition, mu: Sequence[int]) -> Count:
             f"type {lam.parts} has size {lam.n}, evaluation sums to {sum(ev)}")
     if not ev:
         raise DomainError("empty evaluation")
+    return _words_by_type(lam, tuple(sorted((m for m in ev if m), reverse=True)))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _words_by_type(lam: Partition, ev: tuple[int, ...]) -> Count:
+    # the convolution over part lengths; any order of ev, zeros allowed
     multiplicities: dict[int, int] = {}
     for part in lam.parts:
         multiplicities[part] = multiplicities.get(part, 0) + 1

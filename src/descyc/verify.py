@@ -6,10 +6,15 @@ the counting modules only count.
 Each suite clamps the requested max size to the cap its checks are rated
 for, so `run_suite("all", 9)` stays fast while larger explicit requests
 exercise the expensive sweeps.
+
+Every check line is a `_check`-decorated function.  An InvariantViolation
+raised by a formula under test fails that one line, with the exception
+message as its witness, and every other line still runs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,11 +59,25 @@ class SuiteReport:
         return None
 
 
-def _result(label: str, ok: bool, witness: str = "") -> CheckResult:
-    return CheckResult(label, ok, witness if not ok else "")
+def _check(label: str):
+    """Turn a body returning (ok, witness) into a check line.
+
+    The line's label is `label` formatted with the check's arguments.
+    """
+    def wrap(body):
+        @functools.wraps(body)
+        def check(*args) -> CheckResult:
+            try:
+                ok, witness = body(*args)
+            except InvariantViolation as exc:
+                ok, witness = False, str(exc)
+            return CheckResult(label.format(*args), ok, "" if ok else witness)
+        return check
+    return wrap
 
 
-def _check_oracle(n: int) -> CheckResult:
+@_check("oracle agreement n={}")
+def _check_oracle(n: int):
     b_table, bc_table, _ = oracle.brute_tables(n)
     fb = linear.beta_table(n)
     fbc = cyclic.beta_cyc_table(n)
@@ -83,7 +102,7 @@ def _check_oracle(n: int) -> CheckResult:
         if cyclic.alpha_cyc_mask(n, mask) != ac_sum:
             bad = f"alpha_cyc mismatch at I={{{DescentSet(n, mask).to_text()}}}"
             break
-    return _result(f"oracle agreement n={n}", not bad, bad)
+    return not bad, bad
 
 
 def suite_oracle(max_n: int) -> list[CheckResult]:
@@ -91,7 +110,8 @@ def suite_oracle(max_n: int) -> list[CheckResult]:
     return [_check_oracle(n) for n in range(1, min(max_n, 9) + 1)]
 
 
-def _check_inversions(n: int) -> CheckResult:
+@_check("inversion closure n={}")
+def _check_inversions(n: int):
     """Both inverse identities for every subset of {1, ..., n-1}.
 
     For each I: alpha equals the divisor sum of scaled alpha_cyc values over
@@ -99,7 +119,6 @@ def _check_inversions(n: int) -> CheckResult:
     beta_cyc values over d | n.  The beta side writes out its quotients and
     signs instead of calling cyclic.signed_divisor_sum, which it checks.
     """
-    label = f"inversion closure n={n}"
     alphas = linear.alpha_table(n)
     betas = linear.beta_table(n)
     checked = 0
@@ -111,8 +130,8 @@ def _check_inversions(n: int) -> CheckResult:
             lhs_a += (n // d) * cyclic.alpha_cyc_mask(n // d, q)
         if lhs_a != alphas[mask]:
             witness = DescentSet(n, mask).to_text()
-            return _result(label, False, str(
-                ("alpha-from-alpha-cyc", witness, lhs_a, alphas[mask])))
+            return False, str(
+                ("alpha-from-alpha-cyc", witness, lhs_a, alphas[mask]))
         lhs_b = 0
         for d in divisors(n):
             q = quotient_mask(mask, d, n)
@@ -120,10 +139,10 @@ def _check_inversions(n: int) -> CheckResult:
             lhs_b += sign * (n // d) * cyclic.beta_cyc_mask(n // d, q)
         if lhs_b != betas[mask]:
             witness = DescentSet(n, mask).to_text()
-            return _result(label, False, str(
-                ("beta-from-beta-cyc", witness, lhs_b, betas[mask])))
+            return False, str(
+                ("beta-from-beta-cyc", witness, lhs_b, betas[mask]))
         checked += 1
-    return _result(label, checked == 1 << (n - 1), f"checked {checked} sets")
+    return checked == 1 << (n - 1), f"checked {checked} sets"
 
 
 def suite_inversions(max_n: int) -> list[CheckResult]:
@@ -131,19 +150,19 @@ def suite_inversions(max_n: int) -> list[CheckResult]:
     return [_check_inversions(n) for n in range(1, min(max_n, 12) + 1)]
 
 
-def _check_prefix_identity(n: int) -> CheckResult:
+@_check("prefix identity n={}")
+def _check_prefix_identity(n: int):
     bc = cyclic.beta_cyc_table(n)
     prev = linear.beta_table(n - 1)
     high = 1 << (n - 2)
     for mask in range(high):
         if bc[mask] + bc[mask | high] != prev[mask]:
-            return _result(
-                f"prefix identity n={n}", False,
-                f"I={{{DescentSet(n, mask).to_text()}}}")
-    return _result(f"prefix identity n={n}", True)
+            return False, f"I={{{DescentSet(n, mask).to_text()}}}"
+    return True, ""
 
 
-def _check_gcd_shortcuts(n: int) -> CheckResult:
+@_check("gcd shortcuts n={}")
+def _check_gcd_shortcuts(n: int):
     betas = linear.beta_table(n)
     beta_cycs = cyclic.beta_cyc_table(n)
     for mask in range(1 << (n - 1)):
@@ -154,17 +173,16 @@ def _check_gcd_shortcuts(n: int) -> CheckResult:
             lhs = linear.alpha_mask(n, mask)
             rhs = n * cyclic.alpha_cyc_mask(n, mask)
             if lhs != rhs:
-                return _result(f"gcd shortcuts n={n}", False,
-                               f"alpha case at I={{{I.to_text()}}}")
+                return False, f"alpha case at I={{{I.to_text()}}}"
         if n >= 2 and all(math.gcd(i, n) == 1 for i in elements):
             sign = -1 if len(elements) & 1 else 1
             if betas[mask] != n * beta_cycs[mask] + sign:
-                return _result(f"gcd shortcuts n={n}", False,
-                               f"beta case at I={{{I.to_text()}}}")
-    return _result(f"gcd shortcuts n={n}", True)
+                return False, f"beta case at I={{{I.to_text()}}}"
+    return True, ""
 
 
-def _check_complements(n: int) -> CheckResult:
+@_check("complements n={}")
+def _check_complements(n: int):
     """beta_cyc against its value at the complement of I.
 
     Off n = 2 mod 4 the two are equal.  At n = 2 mod 4, for I with an odd
@@ -175,13 +193,11 @@ def _check_complements(n: int) -> CheckResult:
     """
     table = cyclic.beta_cyc_table(n)
     full = (1 << (n - 1)) - 1
-    label = f"complements n={n}"
     if n % 4 != 2:
         for mask in range(1 << (n - 1)):
             if table[mask] != table[full ^ mask]:
-                return _result(label, False,
-                               f"I={{{DescentSet(n, mask).to_text()}}}")
-        return _result(label, True)
+                return False, f"I={{{DescentSet(n, mask).to_text()}}}"
+        return True, ""
     evens = linear.kz_mask(n, 2)
     for mask in range(1 << (n - 1)):
         if (mask & ~evens).bit_count() % 2 == 0:
@@ -189,39 +205,36 @@ def _check_complements(n: int) -> CheckResult:
         witness = DescentSet(n, mask).to_text
         delta = table[mask] - table[full ^ mask]
         if delta < 0:
-            return _result(label, False, f"inequality at I={{{witness()}}}")
+            return False, f"inequality at I={{{witness()}}}"
         if delta != cyclic.beta_cyc_mask(n // 2, quotient_mask(mask, 2, n)):
-            return _result(label, False,
-                           f"half-size identity at I={{{witness()}}}")
+            return False, f"half-size identity at I={{{witness()}}}"
         # At n = 2 the half-size empty set contributes 1, so the zero test
         # only characterizes equality from n = 6 on.
         if n >= 6 and (delta == 0) != (mask & evens in (0, evens)):
-            return _result(label, False,
-                           f"equality criterion at I={{{witness()}}}")
-    return _result(label, True)
+            return False, f"equality criterion at I={{{witness()}}}"
+    return True, ""
 
 
-def _check_cycle_sum_rules(n: int) -> CheckResult:
+@_check("cycle sum rules n={}")
+def _check_cycle_sum_rules(n: int):
     total = sum(cyclic.beta_cyc_table(n))
     rows = sum(cyclic.cyclic_eulerian(n, k) for k in range(1, n + 1))
     expected = math.factorial(n - 1)
-    return _result(
-        f"cycle sum rules n={n}",
-        total == expected and rows == expected,
-        f"sum(beta_cyc)={total}, sum(C)={rows}, want {expected}")
+    return (total == expected and rows == expected,
+            f"sum(beta_cyc)={total}, sum(C)={rows}, want {expected}")
 
 
-def _check_beta_sum_rule(n: int) -> CheckResult:
+@_check("beta sum rule n={}")
+def _check_beta_sum_rule(n: int):
     total = sum(linear.beta_table(n))
-    return _result(f"beta sum rule n={n}", total == math.factorial(n),
-                   f"sum={total}")
+    return total == math.factorial(n), f"sum={total}"
 
 
-def _check_alternating_cycles(n: int) -> CheckResult:
+@_check("alternating cycles n={}")
+def _check_alternating_cycles(n: int):
     expected = cyclic.beta_cyc_mask(n, linear.kz_mask(n, 2))
     got = cyclic.alternating_cycles(n)
-    return _result(f"alternating cycles n={n}", got == expected,
-                   f"{got} != {expected}")
+    return got == expected, f"{got} != {expected}"
 
 
 def _is_odd_prime(k: int) -> bool:
@@ -230,9 +243,9 @@ def _is_odd_prime(k: int) -> bool:
     return all(k % p for p in range(3, math.isqrt(k) + 1, 2))
 
 
-def _check_kz_cycles(max_n: int) -> CheckResult:
+@_check("kz cycles vs beta_cyc (k<=5)")
+def _check_kz_cycles(max_n: int):
     """kz_cycles, and its coprime and odd-prime forms where they hold."""
-    label = "kz cycles vs beta_cyc (k<=5)"
     for n in range(1, max_n + 1):
         for k in range(1, 6):
             expected = cyclic.beta_cyc_mask(n, linear.kz_mask(n, k))
@@ -242,26 +255,22 @@ def _check_kz_cycles(max_n: int) -> CheckResult:
             if _is_odd_prime(k):
                 forms.append(("odd-prime form ", cyclic._kz_odd_prime))
             for name, form in forms:
-                try:
-                    got = form(n, k)
-                except InvariantViolation as exc:
-                    return _result(label, False, f"{name}n={n} k={k}: {exc}")
+                got = form(n, k)
                 if got != expected:
-                    return _result(label, False,
-                                   f"{name}n={n} k={k}: {got} != {expected}")
-    return _result(label, True)
+                    return False, f"{name}n={n} k={k}: {got} != {expected}"
+    return True, ""
 
 
-def _check_spot_values() -> CheckResult:
-    return _result(
-        "spot values",
-        cyclic.alternating_cycles(4) == 1
-        and cyclic.alternating_cycles(8) == 173
-        and cyclic.kz_cycles(6, 3) == 3,
-        "alternating(4), alternating(8), kz(6,3)")
+@_check("spot values")
+def _check_spot_values():
+    return (cyclic.alternating_cycles(4) == 1
+            and cyclic.alternating_cycles(8) == 173
+            and cyclic.kz_cycles(6, 3) == 3,
+            "alternating(4), alternating(8), kz(6,3)")
 
 
-def _check_alpha_cyc_subset_sums(n: int) -> CheckResult:
+@_check("alpha_cyc subset sums n={}")
+def _check_alpha_cyc_subset_sums(n: int):
     table = cyclic.beta_cyc_table(n)
     for mask in range(1 << (n - 1)):
         sub, acc = mask, 0
@@ -271,9 +280,8 @@ def _check_alpha_cyc_subset_sums(n: int) -> CheckResult:
                 break
             sub = (sub - 1) & mask
         if acc != cyclic.alpha_cyc_mask(n, mask):
-            return _result(f"alpha_cyc subset sums n={n}", False,
-                           f"I={{{DescentSet(n, mask).to_text()}}}")
-    return _result(f"alpha_cyc subset sums n={n}", True)
+            return False, f"I={{{DescentSet(n, mask).to_text()}}}"
+    return True, ""
 
 
 def suite_corollaries(max_n: int) -> list[CheckResult]:
@@ -293,7 +301,8 @@ def suite_corollaries(max_n: int) -> list[CheckResult]:
     return out
 
 
-def _check_word_counts(n: int) -> CheckResult:
+@_check("word counts vs enumeration n={}")
+def _check_word_counts(n: int):
     for q in (1, 2, 3):
         tally = oracle.brute_words(n, q)
         for lam in lyndon.partitions_of(n):
@@ -302,12 +311,12 @@ def _check_word_counts(n: int) -> CheckResult:
                     continue
                 got = lyndon.count_words_by_type(lam, ev)
                 if got != tally.get((lam.parts, ev), 0):
-                    return _result(f"word counts vs enumeration n={n}", False,
-                                   f"type={lam.parts} ev={ev} q={q}")
-    return _result(f"word counts vs enumeration n={n}", True)
+                    return False, f"type={lam.parts} ev={ev} q={q}"
+    return True, ""
 
 
-def _check_type_sums(n: int) -> CheckResult:
+@_check("type sums give beta n={}")
+def _check_type_sums(n: int):
     betas = linear.beta_table(n)
     parts = lyndon.partitions_of(n)
     for mask in range(1 << (n - 1)):
@@ -316,90 +325,108 @@ def _check_type_sums(n: int) -> CheckResult:
             lyndon.count_by_type_and_descents(lam, I, exact=True)
             for lam in parts)
         if total != betas[mask]:
-            return _result(f"type sums give beta n={n}", False,
-                           f"I={{{I.to_text()}}}")
-    return _result(f"type sums give beta n={n}", True)
+            return False, f"I={{{I.to_text()}}}"
+    return True, ""
+
+
+@_check("factorization laws length={}")
+def _check_factorization_laws(length: int):
+    for word in itertools.product((1, 2, 3), repeat=length):
+        factors = lyndon.lyndon_factorize(word)
+        if (sum(factors, ()) != word
+                or any(not oracle.is_lyndon_slow(f) for f in factors)
+                or any(factors[i] < factors[i + 1]
+                       for i in range(len(factors) - 1))):
+            return False, f"word={word}"
+    return True, ""
+
+
+@_check("necklace totals n={}")
+def _check_necklace_totals(n: int):
+    for q in (1, 2, 3, 4):
+        total = sum(
+            lyndon.count_lyndon(n, ev)
+            for ev in itertools.product(range(n + 1), repeat=q)
+            if sum(ev) == n)
+        necklace = sum(mobius(d) * q ** (n // d) for d in divisors(n)) // n
+        if total != necklace:
+            return False, f"q={q}: {total} != {necklace}"
+    return True, ""
+
+
+@_check("primitive words n={}")
+def _check_primitive_words(n: int):
+    for q in (1, 2, 3):
+        prim = 0
+        lynd = 0
+        for word in itertools.product(range(1, q + 1), repeat=n):
+            if oracle.is_primitive_slow(word):
+                prim += 1
+                lynd += oracle.is_lyndon_slow(word)
+        if prim != n * lynd:
+            return False, f"q={q}: {prim} != {n} * {lynd}"
+    return True, ""
 
 
 def suite_lyndon(max_n: int) -> list[CheckResult]:
     """Word counts against enumeration, factorization laws, necklace totals."""
     out = [_check_word_counts(n) for n in range(1, min(max_n, 8) + 1)]
     out += [_check_type_sums(n) for n in range(1, min(max_n, 8) + 1)]
-    for length in range(1, min(max_n, 10) + 1):
-        bad = ""
-        for word in itertools.product((1, 2, 3), repeat=length):
-            factors = lyndon.lyndon_factorize(word)
-            if (sum(factors, ()) != word
-                    or any(not oracle.is_lyndon_slow(f) for f in factors)
-                    or any(factors[i] < factors[i + 1]
-                           for i in range(len(factors) - 1))):
-                bad = f"word={word}"
-                break
-        out.append(_result(f"factorization laws length={length}", not bad, bad))
-    for n in range(1, min(max_n, 12) + 1):
-        bad = ""
-        for q in (1, 2, 3, 4):
-            total = sum(
-                lyndon.count_lyndon(n, ev)
-                for ev in itertools.product(range(n + 1), repeat=q)
-                if sum(ev) == n)
-            necklace = sum(mobius(d) * q ** (n // d) for d in divisors(n)) // n
-            if total != necklace:
-                bad = f"q={q}: {total} != {necklace}"
-                break
-        out.append(_result(f"necklace totals n={n}", not bad, bad))
-    for n in range(1, min(max_n, 10) + 1):
-        bad = ""
-        for q in (1, 2, 3):
-            prim = 0
-            lynd = 0
-            for word in itertools.product(range(1, q + 1), repeat=n):
-                if oracle.is_primitive_slow(word):
-                    prim += 1
-                    lynd += oracle.is_lyndon_slow(word)
-            if prim != n * lynd:
-                bad = f"q={q}: {prim} != {n} * {lynd}"
-                break
-        out.append(_result(f"primitive words n={n}", not bad, bad))
+    out += [_check_factorization_laws(length)
+            for length in range(1, min(max_n, 10) + 1)]
+    out += [_check_necklace_totals(n) for n in range(1, min(max_n, 12) + 1)]
+    out += [_check_primitive_words(n) for n in range(1, min(max_n, 10) + 1)]
     return out
+
+
+@_check("pattern counts vs enumeration n={}")
+def _check_pattern_counts(n: int):
+    profile = oracle.brute_pattern_profile(n, 3)
+    g_beta = sum(linear.beta_mask(n, m)
+                 for m in patterns.bounded_composition_masks(n, 2))
+    gs_beta = sum(linear.beta_mask(n, m)
+                  for m in patterns.spaced_composition_masks(n, 2))
+    ok = (patterns.gamma(n) == g_beta == profile["incr"]
+          and patterns.gamma_star(n) == gs_beta == profile["decr_boundary"]
+          and patterns.cycles_avoiding_incr3(n) == profile["incr_cyc"]
+          and patterns.cycles_avoiding_decr3(n) == profile["decr_cyc"])
+    return ok, f"profile={profile}"
+
+
+@_check("closed forms vs family sums n={}")
+def _check_closed_forms(n: int):
+    ok = (patterns.cycles_avoiding_incr3(n)
+          == patterns.cycles_avoiding_monotone(n, 3, "incr")
+          and patterns.cycles_avoiding_decr3(n)
+          == patterns.cycles_avoiding_monotone(n, 3, "decr"))
+    return ok, ""
+
+
+@_check("incr3 equals decr3 off 2 mod 4")
+def _check_incr3_decr3(max_n: int):
+    for n in range(1, max_n + 1):
+        if n % 4 == 2:
+            continue
+        if patterns.cycles_avoiding_incr3(n) != patterns.cycles_avoiding_decr3(n):
+            return False, f"n={n}"
+    return True, ""
+
+
+@_check("theta divisor sums n<=200")
+def _check_theta_divisor_sums():
+    for n in range(1, 201):
+        if (patterns.theta_divisor_sum(n) != patterns.theta(n)
+                or patterns.theta_tilde_divisor_sum(n) != patterns.theta_tilde(n)):
+            return False, f"n={n}"
+    return True, ""
 
 
 def suite_patterns(max_n: int) -> list[CheckResult]:
     """Avoider recurrences and cycle formulas against every other route."""
-    out = []
-    for n in range(1, min(max_n, 9) + 1):
-        profile = oracle.brute_pattern_profile(n, 3)
-        g_beta = sum(linear.beta_mask(n, m)
-                     for m in patterns.bounded_composition_masks(n, 2))
-        gs_beta = sum(linear.beta_mask(n, m)
-                      for m in patterns.spaced_composition_masks(n, 2))
-        ok = (patterns.gamma(n) == g_beta == profile["incr"]
-              and patterns.gamma_star(n) == gs_beta == profile["decr_boundary"]
-              and patterns.cycles_avoiding_incr3(n) == profile["incr_cyc"]
-              and patterns.cycles_avoiding_decr3(n) == profile["decr_cyc"])
-        out.append(_result(f"pattern counts vs enumeration n={n}", ok,
-                           f"profile={profile}"))
-    for n in range(1, min(max_n, 14) + 1):
-        ok = (patterns.cycles_avoiding_incr3(n)
-              == patterns.cycles_avoiding_monotone(n, 3, "incr")
-              and patterns.cycles_avoiding_decr3(n)
-              == patterns.cycles_avoiding_monotone(n, 3, "decr"))
-        out.append(_result(f"closed forms vs family sums n={n}", ok))
-    bad = ""
-    for n in range(1, min(max_n, 21) + 1):
-        if n % 4 == 2:
-            continue
-        if patterns.cycles_avoiding_incr3(n) != patterns.cycles_avoiding_decr3(n):
-            bad = f"n={n}"
-            break
-    out.append(_result("incr3 equals decr3 off 2 mod 4", not bad, bad))
-    bad = ""
-    for n in range(1, 201):
-        if (patterns.theta_divisor_sum(n) != patterns.theta(n)
-                or patterns.theta_tilde_divisor_sum(n) != patterns.theta_tilde(n)):
-            bad = f"n={n}"
-            break
-    out.append(_result("theta divisor sums n<=200", not bad, bad))
+    out = [_check_pattern_counts(n) for n in range(1, min(max_n, 9) + 1)]
+    out += [_check_closed_forms(n) for n in range(1, min(max_n, 14) + 1)]
+    out.append(_check_incr3_decr3(min(max_n, 21)))
+    out.append(_check_theta_divisor_sums())
     return out
 
 
@@ -408,7 +435,8 @@ def _even_run_mask(k: int) -> int:
     return linear.kz_mask(2 * k + 1, 2)
 
 
-def _check_inequalities(n: int) -> CheckResult:
+@_check("inequality sweep n={}")
+def _check_inequalities(n: int):
     """Sweep the proven inequalities over every subset at ambient n.
 
     Covers: the floor(n/2)! gap bound; minimization of beta by the
@@ -442,17 +470,16 @@ def _check_inequalities(n: int) -> CheckResult:
         lhs = betas[_even_run_mask(i - 1)] + betas[_even_run_mask(i)]
         if lhs != math.comb(n, 2 * i) * linear.euler_zigzag(2 * i):
             failures.append(f"staircase pair identity at 2i={2 * i}")
-    return _result(f"inequality sweep n={n}", not failures,
-                   "; ".join(failures[:3]))
+    return not failures, "; ".join(failures[:3])
 
 
-def _check_alpha_deviation_bound(n: int) -> CheckResult:
+@_check("alpha deviation bound n={}")
+def _check_alpha_deviation_bound(n: int):
     """The max alpha deviation stays within d(n) / sqrt(n)."""
     dev = asymptotics.alpha_deviation_scan(n).max_deviation
     d_n = len(divisors(n))
     holds = dev.numerator ** 2 * n <= d_n ** 2 * dev.denominator ** 2
-    return _result(f"alpha deviation bound n={n}", holds,
-                   f"max deviation {dev}")
+    return holds, f"max deviation {dev}"
 
 
 def suite_bounds(max_n: int) -> list[CheckResult]:

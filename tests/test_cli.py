@@ -102,6 +102,33 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     assert code == 3 and "ZeroDivisionError" in err
 
 
+def test_verify_reports_violations_as_failures(capsys, monkeypatch):
+    _, clean, _ = run_cli(capsys, "verify", "corollaries", "--max-n", "18")
+
+    def violated(n):
+        raise InvariantViolation(f"planted at n={n}")
+
+    monkeypatch.setattr(cyclic, "alternating_cycles", violated)
+    code, out, _ = run_cli(capsys, "verify", "corollaries", "--max-n", "18")
+    assert code == 1
+    lines, clean_lines = out.splitlines()[:-1], clean.splitlines()[:-1]
+    assert len(lines) == len(clean_lines)
+    failed = 0
+    for line, clean_line in zip(lines, clean_lines):
+        label = clean_line.removeprefix("PASS  ")
+        if label.startswith("alternating cycles n="):
+            n = label.removeprefix("alternating cycles n=")
+            assert line == f"FAIL  {label}  (planted at n={n})"
+        elif label == "spot values":
+            assert line == "FAIL  spot values  (planted at n=4)"
+        else:
+            assert line == clean_line
+        failed += line != clean_line
+    assert failed == 19
+    assert out.splitlines()[-1] == (
+        f"{len(lines) - failed}/{len(lines)} checks passed")
+
+
 def test_verify_commands(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "1")
     assert code == 0

@@ -163,5 +163,12 @@ def test_count_by_type_and_descents(oracle_tables):
                     == alpha_cyc_mask(n, mask))
         assert count_by_type_and_descents(
             Partition((1,) * n), DescentSet(n), exact=True) == 1
+    # past the enumeration cap, the type (n) row is still beta_cyc: a route
+    # to the main theorem that shares no code with the divisor-sum formulas
+    for n in (9, 10):
+        for mask in range(1 << (n - 1)):
+            assert (count_by_type_and_descents(
+                Partition((n,)), DescentSet(n, mask), exact=True)
+                == beta_cyc_mask(n, mask)), (n, mask)
     with pytest.raises(DomainError):
         count_by_type_and_descents(Partition((2, 1)), DescentSet(4))

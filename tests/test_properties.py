@@ -6,6 +6,7 @@ Derandomized, so every run draws the same examples.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from descyc import lyndon
 from descyc.core import MAX_N, DescentSet, composition_of, divisors, set_of
 from descyc.cyclic import beta_cyc_mask
 from descyc.linear import Strategy, beta_mask
@@ -93,3 +94,26 @@ def test_codec_round_trips(case):
     mu = composition_of(I)
     assert mu.n == n
     assert set_of(mu) == I
+
+
+@st.composite
+def typed_evaluations(draw):
+    """(lam, mu, shuffled mu) with |lam| = |mu| <= 12 and mu on 1..5 letters."""
+    n = draw(st.integers(1, 12))
+    lam = draw(st.sampled_from(lyndon.partitions_of(n)))
+    letters = draw(st.integers(1, 5))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=letters - 1,
+                                max_size=letters - 1)))
+    mu = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+    return lam, mu, tuple(draw(st.permutations(mu)))
+
+
+@PROPERTY
+@given(typed_evaluations())
+def test_word_counts_symmetric_in_evaluation(case):
+    # Gessel-Reutenauer: the count is a coefficient of a symmetric function,
+    # so the unmemoized convolution on any rearrangement of mu, zeros
+    # included, agrees with the count memoized on sorted mu
+    lam, mu, shuffled = case
+    assert (lyndon._words_by_type.__wrapped__(lam, shuffled)
+            == lyndon.count_words_by_type(lam, mu))
