@@ -16,6 +16,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterator, Optional
 
 from .core import (
@@ -28,7 +29,7 @@ from .core import (
     divisors,
     mask_elements,
 )
-from .cyclic import _square_free_divisors, alpha_cyc_mask, signed_divisor_sum
+from .cyclic import _square_free_divisors, alpha_cyc_mask, signed_divisor_block
 from .linear import alpha_mask, beta_table, kz_mask
 
 SCAN_CAP = 24
@@ -200,16 +201,23 @@ def _beta_dev_chunk(bounds: tuple[int, int]) -> tuple[Optional[_Candidate], int]
     family: Family = _SCAN_STATE["family"]
     terms = _SCAN_STATE["terms"]
     betas = _SCAN_STATE["betas"]
-    n = family.n
+    lo, hi = bounds
+    members = list(family.member_range(lo, hi))
+    if not members:
+        return None, 0
+    # the d = 1 term is beta itself, so the d > 1 terms sum to the
+    # numerator n * beta_cyc - beta
+    block = signed_divisor_block(family.n, lo, (hi - lo).bit_length() - 1, terms)
+    nums = list(map(abs, map(block.__getitem__, map(lo.__rsub__, members))))
+    dens = list(map(betas.__getitem__, members))
+    # floor(num / den * 2^64) is monotone in num / den, so every member tied
+    # with the exact maximum carries the top key; _better settles the rest
+    keys = [(num << 64) // den for num, den in zip(nums, dens)]
+    top = max(keys)
     best: Optional[_Candidate] = None
-    seen = 0
-    for mask in family.member_range(*bounds):
-        seen += 1
-        # the d = 1 term is beta itself, so the d > 1 terms sum to the
-        # numerator n * beta_cyc - beta
-        num = abs(signed_divisor_sum(n, mask, terms))
-        best = _better(best, (num, betas[mask], mask))
-    return best, seen
+    for cand in compress(zip(nums, dens, members), map(top.__eq__, keys)):
+        best = _better(best, cand)
+    return best, len(members)
 
 
 def beta_deviation_scan(family: Family, jobs: int = 1) -> ScanReport:
@@ -233,8 +241,8 @@ def beta_deviation_scan(family: Family, jobs: int = 1) -> ScanReport:
         size = 1 << (n - 1)
         chunks = min(size, 1 << _CHUNK_BITS)
         step = size // chunks
-        bounds = [(i * step, (i + 1) * step if i < chunks - 1 else size)
-                  for i in range(chunks)]
+        # aligned power-of-two blocks, as signed_divisor_block needs
+        bounds = [(i * step, (i + 1) * step) for i in range(chunks)]
         pool_cls = None
         if jobs > 1 and size > 1 << 12:
             try:

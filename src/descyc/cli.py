@@ -2,7 +2,8 @@
 suites, drive deviation scans, print sequences, and manage golden CSVs.
 
 Exit codes are stable for CI use: 0 success, 1 a verification or golden
-comparison failed, 2 usage or domain error, 3 an internal error (a
+comparison failed, 2 usage or domain error (an input above a documented
+size cap included), 3 an internal error (a
 violated invariant or any other unexpected exception; the traceback goes
 to stderr).  Output is byte-identical across repeated runs and across
 --jobs settings; timing is only included when --timing is passed, since it
@@ -243,6 +244,7 @@ def _sequence_rows(name: str, max_n: int) -> list[tuple[int, ...]]:
         "gamma-star": patterns.gamma_star,
         "euler": linear.euler_zigzag,
     }[name]
+    func(max_n)  # an over-cap max_n fails here, before the smaller rows
     return [(n, func(n)) for n in range(1, max_n + 1)]
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from functools import partial
+from operator import mul, neg
 
 from .core import (
     Count,
@@ -61,19 +62,43 @@ def _square_free_divisors(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def signed_divisor_sum(n: int, mask: int, terms) -> int:
-    """Sum of c * (-1)**(|I| - |I/d|) * f(I/d) over (d, c, f) in terms.
+def signed_divisor_block(n: int, lo: int, width: int, terms) -> list[int]:
+    """Signed divisor sums for every mask of the block [lo, lo + 2^width).
 
-    I is the mask at ambient n and f takes the quotient mask at n/d.  With
-    one term (d, mobius(d), beta at n/d) per square-free divisor d of n the
-    sum is n * beta_cyc(I), the forward form of the main theorem.
+    Entry j is the sum of c * (-1)**(|I| - |I/d|) * f(I/d) over (d, c, f)
+    in terms, for I = lo + j at ambient n; f takes the quotient mask at n/d.
+    With one term (d, mobius(d), beta at n/d) per square-free divisor d of
+    n the sum is n * beta_cyc(I), the forward form of the main theorem.
+    The block must be aligned: lo is a multiple of 2^width.
+
+    The block splits each mask as lo | low with disjoint bits, so
+    I/d = lo/d | low/d and the sign is the product of the two signs.  The
+    rows of low/d and of the signs over all lows are built by doubling, one
+    bit position at a time, and f is applied to the whole row at once.
     """
-    size = mask.bit_count()
-    total = 0
+    size = lo.bit_count()
+    columns = []
     for d, c, f in terms:
-        q = quotient_mask(mask, d, n)
-        total += (-c if (size - q.bit_count()) & 1 else c) * f(q)
-    return total
+        high = quotient_mask(lo, d, n)
+        if (size - high.bit_count()) & 1:
+            c = -c
+        quotients, signs = [high], [c]
+        for i in range(1, width + 1):
+            if i % d:  # i joins I but not I/d: the sign flips
+                quotients *= 2
+                signs += list(map(neg, signs))
+            else:
+                quotients += list(map((1 << (i // d - 1)).__or__, quotients))
+                signs *= 2
+        columns.append(map(mul, signs, map(f, quotients)))
+    if not columns:
+        return [0] * (1 << width)
+    return list(map(sum, zip(*columns)))
+
+
+def signed_divisor_sum(n: int, mask: int, terms) -> int:
+    """The signed divisor sum of signed_divisor_block at the one mask."""
+    return signed_divisor_block(n, mask, 0, terms)[0]
 
 
 def _beta_cyc_value(total: int, n: int, mask: int) -> Count:
@@ -110,8 +135,8 @@ def beta_cyc_table(n: int) -> list[Count]:
     """beta_cyc for every mask of ambient n, indexed by mask."""
     terms = [(d, mu, beta_table(n // d).__getitem__)
              for d, mu in _square_free_divisors(n)]
-    return [_beta_cyc_value(signed_divisor_sum(n, mask, terms), n, mask)
-            for mask in range(1 << (n - 1))]
+    totals = signed_divisor_block(n, 0, n - 1, terms)
+    return [_beta_cyc_value(total, n, mask) for mask, total in enumerate(totals)]
 
 
 def cyclic_eulerian(n: int, k: int) -> Count:

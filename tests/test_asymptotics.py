@@ -57,13 +57,36 @@ def test_beta_scan_small_examples():
     assert report.member_count == 1
 
 
+def _direct_scan(family):
+    # (max deviation, lexicographically least argmax) over the members
+    n = family.n
+    best = None
+    for m in family.members():
+        dev = abs(Fraction(n * beta_cyc_mask(n, m), beta_mask(n, m)) - 1)
+        elements = DescentSet(n, m).elements()
+        if best is None or dev > best[0] or (dev == best[0] and elements < best[1]):
+            best = (dev, elements)
+    return best
+
+
 def test_beta_scan_matches_direct_maximum():
+    # alt-threshold and periodic members are not contiguous, and most of
+    # their chunks hold no member at all
+    families = []
     for n in range(3, 12):
-        report = beta_deviation_scan(Family.all_proper(n))
-        direct = max(
-            abs(Fraction(n * beta_cyc_mask(n, m), beta_mask(n, m)) - 1)
-            for m in range(1, (1 << (n - 1)) - 1))
-        assert report.max_deviation == direct, n
+        families.append(Family.all_proper(n))
+        families.append(Family.alt_threshold(n, Fraction(2, 5)))
+        families.append(Family.alt_threshold(n, Fraction(49, 100)))
+        if n >= 4:
+            families.append(Family.periodic(n, 2, (2,)))
+            families.append(Family.periodic(n, 3, (1,)))
+            families.append(Family.periodic(n, 4, (1, 3, 4)))
+    families += [Family.alt_threshold(n, Fraction(1, 4)) for n in (1, 2)]
+    for family in families:
+        report = beta_deviation_scan(family)
+        assert report.member_count == len(list(family.members()))
+        assert (report.max_deviation, report.argmax.elements()) == _direct_scan(family), (
+            family)
 
 
 def test_beta_scan_deterministic_across_jobs():

@@ -10,6 +10,7 @@ from descyc.core import InvariantViolation
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "scan_report.schema.json"
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +73,15 @@ def test_compute_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "nonsense", "--n", "4"])
     assert exc.value.code == 2
+
+
+def test_unbounded_inputs_capped(capsys):
+    code, out, err = run_cli(capsys, "compute", "alt-cycles", "--n", "20000")
+    assert code == 2 and not out and "capped at n = 2000" in err
+    code, out, err = run_cli(capsys, "sequence", "euler", "--max-n", "5000")
+    assert code == 2 and not out and "capped at n = 2000" in err
+    code, out, err = run_cli(capsys, "compute", "euler", "--n", "2001")
+    assert code == 2 and not out and "capped at n = 2000" in err
 
 
 def test_compute_beyond_digit_limit(capsys):
@@ -178,6 +188,15 @@ def test_scan_range_and_formats(capsys):
     doc = json.loads(out)
     assert "elapsed_ms" in doc["reports"][0]
     jsonschema.validate(doc, json.loads(SCHEMA_PATH.read_text()))
+
+
+def test_scan_matches_reference_report(capsys):
+    # the reports of the per-mask numerator loop, which pin every maximum
+    # and the tie order of the argmax for n = 3..18
+    code, out, _ = run_cli(capsys, "scan", "--family", "all-proper",
+                           "--n-range", "3:18", "--format", "json")
+    assert code == 0
+    assert out == (DATA_DIR / "scan_all_proper_3_18.json").read_text()
 
 
 def test_scan_errors(capsys):

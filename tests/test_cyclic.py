@@ -12,8 +12,10 @@ from descyc.cyclic import (
     beta_cyc_table,
     cyclic_eulerian,
     kz_cycles,
+    signed_divisor_block,
+    signed_divisor_sum,
 )
-from descyc.linear import alpha_mask, beta_mask, kz_mask
+from descyc.linear import alpha_mask, beta_mask, beta_table, kz_mask
 
 
 def test_alpha_cyc_values():
@@ -129,3 +131,32 @@ def test_divisor_sum_definitions_directly():
                 sign = (-1) ** (mask.bit_count() - q.bit_count())
                 total += mobius(d) * sign * beta_mask(n // d, q)
             assert total == n * beta_cyc_mask(n, mask)
+
+
+def _signed_sum_longhand(n, mask, terms):
+    total = 0
+    for d, c, f in terms:
+        q = quotient_mask(mask, d, n)
+        total += c * (-1) ** (mask.bit_count() - q.bit_count()) * f(q)
+    return total
+
+
+def test_signed_divisor_block_matches_longhand():
+    for n in range(1, 15):
+        # the forward form of the main theorem, and one with every divisor,
+        # coefficients other than +-1 and an f that is not a beta table
+        term_sets = [
+            [(d, mobius(d), beta_table(n // d).__getitem__)
+             for d in divisors(n) if mobius(d)],
+            [(d, n // d + 1, lambda q, d=d: 3 * q + d) for d in divisors(n)],
+        ]
+        size = 1 << (n - 1)
+        for terms in term_sets:
+            expected = [_signed_sum_longhand(n, m, terms) for m in range(size)]
+            assert signed_divisor_block(n, 0, n - 1, terms) == expected, n
+            assert [signed_divisor_sum(n, m, terms) for m in range(size)] == expected
+            if size >= 8:
+                blocks = []
+                for lo in range(0, size, 8):
+                    blocks += signed_divisor_block(n, lo, 3, terms)
+                assert blocks == expected, n

@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 
-from descyc.core import DescentSet, DomainError
+from descyc.core import TABLE_CACHE_MAX_N, CapacityError, DescentSet, DomainError
 from descyc.linear import (
+    ZIGZAG_CAP,
     Strategy,
     alpha,
     alpha_mask,
@@ -47,10 +49,24 @@ def test_strategies_agree():
 
 
 def test_beta_table_matches_pointwise():
-    for n in range(1, 11):
+    for n in range(1, 15):
         table = beta_table(n)
         assert table == [beta_mask(n, m) for m in range(1 << (n - 1))]
         assert alpha_table(n) == [alpha_mask(n, m) for m in range(1 << (n - 1))]
+
+
+def test_beta_table_above_cache_matches_pointwise():
+    # n = 17 is above TABLE_CACHE_MAX_N, so the table is built afresh
+    n = 17
+    assert n > TABLE_CACHE_MAX_N
+    table = beta_table(n)
+    assert len(table) == 1 << (n - 1)
+    assert sum(table) == math.factorial(n)
+    rng = random.Random(17)
+    masks = rng.sample(range(1 << (n - 1)), 300)
+    masks += [0, 1, (1 << (n - 1)) - 1, 1 << (n - 2), kz_mask(n, 2), kz_mask(n, 3)]
+    for mask in masks:
+        assert table[mask] == beta_mask(n, mask), mask
 
 
 def test_beta_total_is_factorial():
@@ -102,6 +118,8 @@ def test_euler_zigzag():
     assert euler_zigzag(40) > 0
     with pytest.raises(DomainError):
         euler_zigzag(-1)
+    with pytest.raises(CapacityError):
+        euler_zigzag(ZIGZAG_CAP + 1)
 
 
 def test_zigzag_matches_beta():

@@ -3,6 +3,8 @@
 Derandomized, so every run draws the same examples.
 """
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +43,18 @@ def test_beta_from_beta_cyc_pointwise(case):
         sign = (-1) ** (len(elements) - len(kept))
         total += sign * (n // d) * beta_cyc_mask(n // d, quotient)
     assert total == beta_mask(n, mask)
+
+
+@PROPERTY
+@given(descent_sets(sizes=st.integers(2, MAX_N)), st.data())
+def test_beta_top_bit_recurrence(case, data):
+    # beta_n(S u {k}) = C(n, k) * beta_k(S) - beta_n(S) for S inside [k-1],
+    # the recurrence linear.beta_table is built from
+    n, mask = case
+    k = data.draw(st.integers(1, n - 1))
+    low = mask & ((1 << (k - 1)) - 1)
+    assert (beta_mask(n, low | 1 << (k - 1))
+            == math.comb(n, k) * beta_mask(k, low) - beta_mask(n, low))
 
 
 @PROPERTY
