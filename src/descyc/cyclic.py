@@ -74,9 +74,17 @@ def signed_divisor_block(n: int, lo: int, width: int, terms) -> list[int]:
     The block splits each mask as lo | low with disjoint bits, so
     I/d = lo/d | low/d and the sign is the product of the two signs.  The
     rows of low/d and of the signs over all lows are built by doubling, one
-    bit position at a time, and f is applied to the whole row at once.
+    bit position at a time, and f is applied to the whole row at once.  A
+    block of one mask (width 0) skips the rows and sums the terms directly.
     """
     size = lo.bit_count()
+    if width == 0:
+        total = 0
+        for d, c, f in terms:
+            quotient = quotient_mask(lo, d, n)
+            value = c * f(quotient)
+            total += -value if (size - quotient.bit_count()) & 1 else value
+        return [total]
     columns = []
     for d, c, f in terms:
         high = quotient_mask(lo, d, n)

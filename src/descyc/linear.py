@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 
 from .core import CapacityError, Count, DescentSet, DomainError, small_table_cache
@@ -57,26 +58,29 @@ def alpha_mask(n: int, mask: int) -> Count:
     return acc * math.comb(n, n - prev)
 
 
+def psi_step(psi: list[Count], descent: bool) -> list[Count]:
+    """One step of the rank-prefix recurrence of the beta DP.
+
+    psi[j] counts the arrangements of a length-p prefix pattern with the
+    prescribed descents whose last entry has relative rank j+1, so sum(psi)
+    is beta_p of the prefix.  The result is the vector for length p+1: a
+    descent to the new last entry of rank r+1 needs r <= j, an ascent r > j.
+    """
+    if descent:
+        out = list(itertools.accumulate(reversed(psi)))
+        out.reverse()
+        out.append(0)
+        return out
+    out = [0]
+    out += itertools.accumulate(psi)
+    return out
+
+
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _beta_dp(n: int, mask: int) -> Count:
-    # psi[j] = arrangements of a length-i prefix pattern whose last entry has
-    # relative rank j+1; an ascent step needs r < j, a descent step r >= j.
     psi = [1]
     for pos in range(1, n):
-        if mask >> (pos - 1) & 1:
-            acc = 0
-            suffix = [0] * (pos + 1)
-            for j in range(pos - 1, -1, -1):
-                acc += psi[j]
-                suffix[j] = acc
-            psi = suffix
-        else:
-            prefix = [0]
-            acc = 0
-            for j in range(pos):
-                acc += psi[j]
-                prefix.append(acc)
-            psi = prefix
+        psi = psi_step(psi, bool(mask >> (pos - 1) & 1))
     return sum(psi)
 
 
@@ -155,24 +159,14 @@ def eulerian(n: int, k: int) -> Count:
     return _eulerian_row(n)[k - 1]
 
 
-def _zigzag_values(limit: int) -> list[Count]:
-    # Boustrophedon: each row is built by summing the previous row reversed.
-    values = [1]
-    row = [1]
-    for _ in range(limit):
-        new = [0]
-        for x in reversed(row):
-            new.append(new[-1] + x)
-        row = new
-        values.append(row[-1])
-    return values
-
-
 # Largest n served by euler_zigzag: the table up to here builds in about 2 s
 # on one core, and the cost grows with the cube of n.
 ZIGZAG_CAP = 2000
 
-_zigzag_cache: list[Count] = _zigzag_values(32)
+# Zigzag numbers E_0..E_m and the last boustrophedon row (the one ending in
+# E_m), so a larger n extends the table exactly to n without a rebuild.
+_zigzag_cache: list[Count] = [1]
+_zigzag_row: list[Count] = [1]
 
 
 def euler_zigzag(n: int) -> Count:
@@ -184,11 +178,13 @@ def euler_zigzag(n: int) -> Count:
         raise DomainError(f"zigzag undefined for {n}")
     if n > ZIGZAG_CAP:
         raise CapacityError(f"zigzag numbers capped at n = {ZIGZAG_CAP}, got {n}")
-    global _zigzag_cache
-    if n >= len(_zigzag_cache):
-        # grow geometrically, so ascending calls rebuild only O(log n) times
-        limit = min(max(n, 2 * len(_zigzag_cache)), ZIGZAG_CAP)
-        _zigzag_cache = _zigzag_values(limit)
+    global _zigzag_row
+    row = _zigzag_row
+    # Boustrophedon: each row is built by summing the previous row reversed.
+    while len(_zigzag_cache) <= n:
+        row = [0, *itertools.accumulate(reversed(row))]
+        _zigzag_cache.append(row[-1])
+    _zigzag_row = row
     return _zigzag_cache[n]
 
 

@@ -106,7 +106,7 @@ def test_criterion_8_asymptotic_properties():
     trend = [
         (n, asymptotics.beta_deviation_scan(
             asymptotics.Family.all_proper(n)).max_deviation)
-        for n in range(3, 15)
+        for n in range(3, 29)
     ]
     trend_text = ", ".join(f"n={n}: {float(dev):.4f}" for n, dev in trend)
     elapsed = time.monotonic() - start

@@ -1,16 +1,20 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from descyc.asymptotics import (
+    ALL_PROPER_SCAN_CAP,
+    SCAN_CAP,
     Family,
+    _exhaustive_scan,
     almost_all_fraction,
     alpha_deviation_scan,
     beta_deviation_scan,
 )
 from descyc.core import CapacityError, DescentSet, DomainError, alternation_mask
 from descyc.cyclic import alpha_cyc_mask, beta_cyc_mask
-from descyc.linear import alpha_mask, beta_mask
+from descyc.linear import alpha_mask, beta_mask, beta_table, euler_zigzag
 
 
 def test_family_validation():
@@ -90,18 +94,58 @@ def test_beta_scan_matches_direct_maximum():
 
 
 def test_beta_scan_deterministic_across_jobs():
-    reports = [
-        beta_deviation_scan(Family.all_proper(14), jobs=jobs).to_json_dict()
-        for jobs in (1, 2, 4)
-    ]
-    assert reports[0] == reports[1] == reports[2]
+    # all-proper takes the one-process walk, where jobs is byte-neutral;
+    # alt-threshold takes the exhaustive scan and its fork pool
+    for family in (Family.all_proper(26), Family.alt_threshold(14, Fraction(2, 5))):
+        reports = [
+            json.dumps(beta_deviation_scan(family, jobs=jobs).to_json_dict())
+            for jobs in (1, 2, 4)
+        ]
+        assert reports[0] == reports[1] == reports[2], family
+
+
+def test_pruned_scan_matches_exhaustive_scan():
+    # the walk serves all-proper; the exhaustive route visits every member
+    for n in range(3, 23):
+        family = Family.all_proper(n)
+        assert (beta_deviation_scan(family).to_json_dict()
+                == _exhaustive_scan(family).to_json_dict()), n
+
+
+def test_pruned_scan_argmax_beyond_exhaustive_cap():
+    # past SCAN_CAP no exhaustive route runs: recompute the reported
+    # deviation at the argmax from the pointwise formulas
+    for n in range(SCAN_CAP + 1, ALL_PROPER_SCAN_CAP + 1):
+        report = beta_deviation_scan(Family.all_proper(n))
+        mask = report.argmax.mask
+        direct = abs(Fraction(n * beta_cyc_mask(n, mask), beta_mask(n, mask)) - 1)
+        assert report.max_deviation == direct, n
+        assert report.member_count == (1 << (n - 1)) - 2
+
+
+def test_niven_zigzag_bound():
+    # the walk bounds each divisor term by the zigzag number: no beta_m
+    # exceeds E_m, and the alternating sets attain it
+    for m in range(1, 17):
+        assert max(beta_table(m)) == euler_zigzag(m), m
+
+
+def test_prefix_lower_bound():
+    # the walk bounds beta_n below by beta_p of the first p - 1 bits
+    for n in range(1, 13):
+        for mask in range(1 << (n - 1)):
+            value = beta_mask(n, mask)
+            for p in range(1, n + 1):
+                assert beta_mask(p, mask & ((1 << (p - 1)) - 1)) <= value, (n, mask, p)
 
 
 def test_beta_scan_errors():
     with pytest.raises(DomainError):
         beta_deviation_scan(Family.all_proper(10), jobs=0)
     with pytest.raises(CapacityError):
-        beta_deviation_scan(Family.all_proper(25))
+        beta_deviation_scan(Family.all_proper(33))
+    with pytest.raises(CapacityError):
+        beta_deviation_scan(Family.alt_threshold(25, Fraction(1, 4)))
 
 
 def test_alpha_scan():

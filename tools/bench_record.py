@@ -1,0 +1,69 @@
+"""Record one benchmark run to BENCH_<label>.json.
+
+    python3 tools/bench_record.py --workload scan --seed 7 --label scan_change \
+        [--root CHECKOUT]
+
+Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` of the
+checkout at --root (default: this one), so a parent commit checked out
+elsewhere can be measured with its own benchmark code; T is the
+``run_seconds`` of that checkout's BENCHMARK.json.  Writes the metric
+lines, the error-rate line, the run record and the result JSON that run.py
+prints to BENCH_<label>.json at the root of this repository, and exits with
+run.py's exit code; nothing is written when run.py fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("scan", "verify", "query")
+
+
+def parse_output(text: str) -> dict:
+    """Split run.py's stdout into metric lines, error rate, record and result."""
+    lines = text.strip().splitlines()
+    doc = {"metric_lines": [], "error_rate": None, "record": None,
+           "result": json.loads(lines[-1])}
+    for line in lines[:-1]:
+        if line.startswith("record "):
+            doc["record"] = json.loads(line[len("record "):])
+        elif line.startswith("error_rate = "):
+            doc["error_rate"] = line
+        elif " = " in line:
+            doc["metric_lines"].append(line)
+    return doc
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--root", type=Path, default=ROOT,
+                        help="checkout whose perfbench/run.py is run")
+    args = parser.parse_args(argv)
+    if not args.label.replace("_", "").replace("-", "").isalnum():
+        parser.error(f"label must be letters, digits, '_' or '-': {args.label!r}")
+    root = args.root.resolve()
+    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    cmd = ["perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run([sys.executable, *cmd], cwd=root, stdout=subprocess.PIPE,
+                          text=True)
+    if done.returncode != 0:
+        print(f"bench_record: run.py exited with code {done.returncode}", file=sys.stderr)
+        return done.returncode
+    doc = {"label": args.label, "command": ["python3", *cmd], **parse_output(done.stdout)}
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {out.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
