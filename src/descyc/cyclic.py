@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import partial
+from functools import lru_cache, partial
 from operator import mul, neg
 
 from .core import (
@@ -29,6 +29,7 @@ from .core import (
     small_table_cache,
 )
 from .linear import (
+    MEMO_SIZE,
     alpha_mask,
     beta_mask,
     beta_table,
@@ -52,14 +53,11 @@ class FormulaKind(enum.Enum):
     CYCLE_MULTIPLES_ODD_PRIME = "kz-cycles-odd-prime"
 
 
-def _square_free_divisors(n: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=MEMO_SIZE)
+def _square_free_divisors(n: int) -> tuple[tuple[int, int], ...]:
     """(d, mobius(d)) for the divisors of n that contribute to Moebius sums."""
-    out = []
-    for d in divisors(n):
-        mu = mobius(d)
-        if mu:
-            out.append((d, mu))
-    return out
+    pairs = ((d, mobius(d)) for d in divisors(n))
+    return tuple((d, mu) for d, mu in pairs if mu)
 
 
 def signed_divisor_block(n: int, lo: int, width: int, terms) -> list[int]:

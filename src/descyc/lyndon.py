@@ -30,6 +30,7 @@ from .core import (
     composition_of,
     divisors,
     exact_div,
+    mask_elements,
     mobius,
 )
 from .linear import MEMO_SIZE, multinomial
@@ -240,14 +241,16 @@ def count_by_type_and_descents(lam: Partition, I: DescentSet, exact: bool = True
         raise DomainError(f"type size {lam.n} != ambient size {I.n}")
     if not exact:
         return count_words_by_type(lam, composition_of(I).parts)
+    # each submask's composition parts, sorted, key the word-count memo
     n = I.n
     size = I.mask.bit_count()
     total = 0
     sub = I.mask
     while True:
-        J = DescentSet(n, sub)
+        cuts = (0, *mask_elements(sub), n)
+        parts = sorted([b - a for a, b in zip(cuts, cuts[1:])], reverse=True)
         sign = -1 if (size - sub.bit_count()) & 1 else 1
-        total += sign * count_words_by_type(lam, composition_of(J).parts)
+        total += sign * _words_by_type(lam, tuple(parts))
         if sub == 0:
             break
         sub = (sub - 1) & I.mask

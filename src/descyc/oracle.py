@@ -4,15 +4,29 @@ Nothing here reuses the counting code of the formula modules: descents,
 cycle types, pattern containment, and word factorization are recomputed
 from first principles, so agreement with the formulas is meaningful
 evidence rather than a tautology.
+
+One sweep over S_n (brute_tables, memoised per n) tallies permutations by
+cycle type and descent set.  Runs of ascents and descents depend only on
+the descent set, so the pattern profile is read from those tallies;
+brute_avoiders and enumerate_permutations still walk S_n one permutation
+at a time and stay as the references for both.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
-from .core import CapacityError, Count, CountTable, DescentSet, DomainError
+from .core import (
+    CapacityError,
+    Count,
+    CountTable,
+    DescentSet,
+    DomainError,
+    small_table_cache,
+)
 
 # 10! records stream in comfortably; anything larger is a different tool.
 ENUMERATION_CAP = 10
@@ -81,25 +95,45 @@ def enumerate_permutations(n: int) -> Iterator[PermRecord]:
         yield PermRecord(perm, _descent_mask(perm), _cycle_type(perm))
 
 
+@small_table_cache
 def brute_tables(
     n: int,
-) -> tuple[CountTable, CountTable, dict[tuple[int, ...], CountTable]]:
-    """Exact-descent counts overall, for n-cycles, and per cycle type."""
+) -> tuple[CountTable, CountTable, Mapping[tuple[int, ...], CountTable]]:
+    """Exact-descent counts overall, for n-cycles, and per cycle type.
+
+    One sweep over S_n tallies every permutation by cycle type and descent
+    mask; the overall row is the column sum of the per-type rows.  The
+    result is memoised per n, so the per-type map is read-only.
+    """
     _check_cap(n)
     size = 1 << (n - 1)
-    betas = [0] * size
+    bits = [1 << i for i in range(n - 1)]
+    points = range(n)
     by_type: dict[tuple[int, ...], list[int]] = {}
-    for perm in itertools.permutations(range(1, n + 1)):
+    for perm in itertools.permutations(points):
         mask = 0
-        for i in range(n - 1):
-            if perm[i] > perm[i + 1]:
-                mask |= 1 << i
-        ctype = _cycle_type(perm)
-        betas[mask] += 1
+        for bit, a, b in zip(bits, perm, perm[1:]):
+            if a > b:
+                mask |= bit
+        seen = [False] * n
+        lengths = []
+        for start in points:
+            if seen[start]:
+                continue
+            length = 1
+            j = perm[start]
+            while j != start:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            lengths.append(length)
+        lengths.sort(reverse=True)
+        ctype = tuple(lengths)
         row = by_type.get(ctype)
         if row is None:
             row = by_type[ctype] = [0] * size
         row[mask] += 1
+    betas = [sum(column) for column in zip(*by_type.values())]
     n_cycles = by_type.get((n,), [0] * size)
     typed = {
         ctype: CountTable(n, f"beta[type={ctype}]", tuple(row))
@@ -108,7 +142,7 @@ def brute_tables(
     return (
         CountTable(n, "beta", tuple(betas)),
         CountTable(n, "beta_cyc", tuple(n_cycles)),
-        typed,
+        MappingProxyType(typed),
     )
 
 
@@ -137,6 +171,7 @@ def brute_avoiders(
 
     cyclic_only restricts to n-cycles; ascent_boundary additionally demands
     that the first and last steps ascend (so n = 1 never qualifies).
+    This walks S_n itself and is the reference for brute_pattern_profile.
     """
     _check_cap(n)
     if k < 2:
@@ -157,34 +192,40 @@ def brute_avoiders(
     return count
 
 
+def _has_bit_run(word: int, length: int) -> bool:
+    # `length` adjacent set bits survive length - 1 shift-and-AND steps
+    for _ in range(length - 1):
+        word &= word >> 1
+    return word != 0
+
+
 def brute_pattern_profile(n: int, k: int) -> dict[str, Count]:
-    """All six avoider statistics for pattern length k in one sweep.
+    """All six avoider statistics for pattern length k.
 
     Keys: incr / decr (full counts), incr_cyc / decr_cyc (n-cycles only),
     incr_boundary / decr_boundary (avoiders whose first and last steps
-    both ascend).
+    both ascend).  Runs of ascents and descents depend only on the descent
+    set, so the counts are read from the per-mask tallies of brute_tables
+    instead of a second sweep over S_n.
     """
     _check_cap(n)
     if k < 2:
         raise DomainError(f"pattern length must be >= 2, got {k}")
+    betas, n_cycles, _ = brute_tables(n)
+    full = (1 << (n - 1)) - 1
+    ends = 1 | 1 << max(n - 2, 0)
     tally = dict.fromkeys(
         ("incr", "decr", "incr_cyc", "decr_cyc",
          "incr_boundary", "decr_boundary"), 0)
-    for perm in itertools.permutations(range(1, n + 1)):
-        asc_free = not _has_run(perm, k, False)
-        desc_free = not _has_run(perm, k, True)
-        if not (asc_free or desc_free):
-            continue
-        cyc = _cycle_type(perm) == (n,)
-        boundary = n >= 2 and perm[0] < perm[1] and perm[-2] < perm[-1]
-        if asc_free:
-            tally["incr"] += 1
-            tally["incr_cyc"] += cyc
-            tally["incr_boundary"] += boundary
-        if desc_free:
-            tally["decr"] += 1
-            tally["decr_cyc"] += cyc
-            tally["decr_boundary"] += boundary
+    for mask, (beta, cyc) in enumerate(zip(betas.counts, n_cycles.counts)):
+        boundary = n >= 2 and not mask & ends
+        for key, word in (("incr", full ^ mask), ("decr", mask)):
+            if _has_bit_run(word, k - 1):
+                continue
+            tally[key] += beta
+            tally[key + "_cyc"] += cyc
+            if boundary:
+                tally[key + "_boundary"] += beta
     return tally
 
 

@@ -4,32 +4,6 @@ from descyc import oracle
 
 
 @pytest.fixture(scope="session")
-def oracle_tables():
-    """Memoized brute-force descent tables, shared across test modules."""
-    cache = {}
-
-    def get(n):
-        if n not in cache:
-            cache[n] = oracle.brute_tables(n)
-        return cache[n]
-
-    return get
-
-
-@pytest.fixture(scope="session")
-def pattern_profiles():
-    """Memoized one-pass avoider profiles, shared across test modules."""
-    cache = {}
-
-    def get(n, k=3):
-        if (n, k) not in cache:
-            cache[n, k] = oracle.brute_pattern_profile(n, k)
-        return cache[n, k]
-
-    return get
-
-
-@pytest.fixture(scope="session")
 def word_tallies():
     """Memoized brute-force word tallies keyed by (length, alphabet)."""
     cache = {}

@@ -17,7 +17,12 @@ from descyc.lyndon import (
     period,
     word_type,
 )
-from descyc.oracle import is_lyndon_slow, is_primitive_slow, slow_factorization
+from descyc.oracle import (
+    brute_tables,
+    is_lyndon_slow,
+    is_primitive_slow,
+    slow_factorization,
+)
 
 
 def test_partition_type():
@@ -142,10 +147,10 @@ def test_count_words_by_type_matches_oracle(word_tallies):
                         n, q, lam.parts, ev)
 
 
-def test_count_by_type_and_descents(oracle_tables):
+def test_count_by_type_and_descents():
     for n in range(1, 9):
         betas = beta_table(n)
-        _, _, typed = oracle_tables(n)
+        _, _, typed = brute_tables(n)
         parts = partitions_of(n)
         for mask in range(1 << (n - 1)):
             I = DescentSet(n, mask)

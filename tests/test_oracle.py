@@ -73,9 +73,32 @@ def test_brute_avoiders():
         brute_avoiders(4, 3, "both")
 
 
+def test_brute_tables_match_records():
+    # the per-permutation records are the longhand for the sweep's loop
+    for n in range(1, 8):
+        rows = {}
+        for record in enumerate_permutations(n):
+            row = rows.setdefault(record.cycle_type, [0] * (1 << (n - 1)))
+            row[record.descent_mask] += 1
+        betas, beta_cycs, typed = brute_tables(n)
+        assert {t: list(table.counts) for t, table in typed.items()} == rows
+        assert list(betas.counts) == list(map(sum, zip(*rows.values())))
+        assert list(beta_cycs.counts) == rows[(n,)]
+
+
+def test_brute_tables_memo_is_read_only():
+    first = brute_tables(5)
+    assert brute_tables(5) is first
+    with pytest.raises(TypeError):
+        first[2][(5,)] = first[1]
+    with pytest.raises(TypeError):
+        del first[2][(5,)]
+    assert first[2][(5,)] is first[2].get((5,))
+
+
 def test_profile_matches_individual_counts():
-    for n in range(1, 7):
-        for k in (2, 3, 4):
+    for n in range(1, 8):
+        for k in range(2, n + 2):
             profile = brute_pattern_profile(n, k)
             assert profile["incr"] == brute_avoiders(n, k, "incr")
             assert profile["decr"] == brute_avoiders(n, k, "decr")
@@ -83,6 +106,8 @@ def test_profile_matches_individual_counts():
                 n, k, "incr", cyclic_only=True)
             assert profile["decr_cyc"] == brute_avoiders(
                 n, k, "decr", cyclic_only=True)
+            assert profile["incr_boundary"] == brute_avoiders(
+                n, k, "incr", ascent_boundary=True)
             assert profile["decr_boundary"] == brute_avoiders(
                 n, k, "decr", ascent_boundary=True)
 
