@@ -4,27 +4,27 @@ The quantity of interest is |n * beta_cyc(I) / beta(I) - 1|, held as an
 exact rational: numerators come straight out of the signed divisor sum, so
 no comparison ever rounds.  Every scan reports the maximum under one total
 order (deviation, then the lexicographically smallest element tuple of the
-argmax), so neither the route nor the worker count can change the result.
+argmax), so the order in which sets are visited cannot change the result.
 
-The scan over all proper subsets is a depth-first walk over the descent
-bits in one process.  It carries the rank-prefix vector of the beta DP and
-skips a subtree once two bounds prove that no set below it can reach the
-best deviation found so far: beta only grows as bits are fixed, and no
-beta_m exceeds the zigzag number E_m (Niven).  The other families, and the
-all-proper family in the tests, take the exhaustive route: the whole beta
-table, the numerators of fixed chunks from one kernel block, and an
-optional fork pool over the chunks.  The inequality sweeps and the
-divisor-count bound that these scans feed are checks, stated in
-``verify``.
+Every family is scanned by one depth-first walk over the descent bits in
+one process.  It carries the rank-prefix vector of the beta DP, skips
+prefixes that no member of the family extends, and skips a subtree once
+two bounds prove that no set below it can reach the best deviation found
+so far: beta only grows as bits are fixed, and no beta_m exceeds the
+zigzag number E_m (Niven).  A skipped subtree adds its member count, so
+the number of members accounted for is an exact certificate.  The
+exhaustive scan over the whole beta table stays as the tests' reference.
+The inequality sweeps and the divisor-count bound that these scans feed
+are checks, stated in ``verify``.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from typing import Iterator, Optional
 
@@ -47,11 +47,10 @@ from .cyclic import (
 from .linear import alpha_mask, beta_table, euler_zigzag, kz_mask, psi_step
 
 SCAN_CAP = 24
-# Largest n of the all-proper scan, which needs no 2^(n-1) table: at n = 32
-# the pruned walk takes about 5 s and 20 MB on one core.  Every other scan
-# stays at SCAN_CAP.
+# Largest n of an all-proper family: at n = 32 its scan takes about 5 s and
+# 20 MB on one core.  Every other family stays at SCAN_CAP.
 ALL_PROPER_SCAN_CAP = 32
-_CHUNK_BITS = 6  # 64 fixed chunks; independent of the worker count
+_CHUNK_BITS = 6  # the reference scan reads 64 aligned chunks
 
 
 @dataclass(frozen=True)
@@ -64,6 +63,8 @@ class Family:
                      which must be nonempty and proper
       alt-threshold  subsets whose alternation number exceeds
                      n/2 - n**(1 - epsilon)
+
+    n is at most ALL_PROPER_SCAN_CAP for all-proper and SCAN_CAP otherwise.
     """
 
     n: int
@@ -71,6 +72,12 @@ class Family:
     ell: int = 0
     pattern: tuple[int, ...] = ()
     epsilon: Optional[Fraction] = None
+
+    def __post_init__(self):
+        # before any work that grows with n
+        cap = ALL_PROPER_SCAN_CAP if self.kind == "all-proper" else SCAN_CAP
+        if self.n > cap:
+            raise CapacityError(f"{self.describe()} scan capped at n = {cap}")
 
     @classmethod
     def all_proper(cls, n: int) -> "Family":
@@ -113,21 +120,35 @@ class Family:
                 mask |= 1 << (i - 1)
         return mask
 
-    def member_count(self) -> Count:
+    def members_below(self, mask: int, p: int) -> Count:
+        """Number of members whose bits 1..p-1 equal those of mask, which
+        has no bit at p or above."""
+        n = self.n
         if self.kind == "all-proper":
-            return (1 << (self.n - 1)) - 2
+            # all but the empty and the full set, where the prefix allows them
+            return ((1 << (n - p)) - (mask == 0)
+                    - (mask == (1 << (p - 1)) - 1))
         if self.kind == "periodic":
-            return 1
-        if self.n == 1:
-            return 1
-        # The alternation map sends subsets of [n-1] two-to-one onto subsets
-        # of [n-2], so the tally collapses to binomial sums.
-        width = self.n - 2
-        return 2 * sum(
-            math.comb(width, a)
-            for a in range(width + 1)
-            if _alt_qualifies(a, self.n, self.epsilon)
-        )
+            return int(mask == self._periodic_mask() & ((1 << (p - 1)) - 1))
+        if p == 1 < n:
+            # bit 1 is free as well, and either value tallies the same
+            return 2 * self.members_below(0, 2)
+        # once bit p-1 is fixed, the free bits p..n-1 set the alternations
+        # at p-1..n-2 one to one, so the tally collapses to binomial sums
+        need = self._min_alternation - alternation_mask(mask, p).bit_count()
+        free = n - p
+        if need <= 0:
+            return 1 << free
+        return sum(math.comb(free, j) for j in range(need, free + 1))
+
+    @cached_property
+    def _min_alternation(self) -> int:
+        # qualifying only gets easier as the alternation number grows
+        return next(a for a in range(self.n)
+                    if _alt_qualifies(a, self.n, self.epsilon))
+
+    def member_count(self) -> Count:
+        return self.members_below(0, 1)
 
     def members(self) -> Iterator[int]:
         """Member masks, ascending."""
@@ -140,7 +161,7 @@ class Family:
                 yield mask
 
     def member_range(self, start: int, stop: int) -> Iterator[int]:
-        """Members within [start, stop), for sharded scans."""
+        """Members within [start, stop), for the chunked reference scan."""
         if self.kind == "all-proper":
             lo = max(start, 1)
             hi = min(stop, (1 << (self.n - 1)) - 1)
@@ -165,8 +186,6 @@ def almost_all_fraction(n: int, epsilon: Fraction) -> Fraction:
     family = Family.alt_threshold(n, epsilon)
     if n < 1:
         raise DomainError(f"needs n >= 1, got {n}")
-    if n > SCAN_CAP:
-        raise CapacityError(f"capped at n = {SCAN_CAP}")
     return Fraction(family.member_count(), 1 << (n - 1))
 
 
@@ -211,15 +230,14 @@ def _better(a: Optional[_Candidate], b: Optional[_Candidate]) -> Optional[_Candi
     return a if mask_elements(a[2]) <= mask_elements(b[2]) else b
 
 
-# Shared read-only scan state, inherited by forked workers.
-_SCAN_STATE: dict = {}
+def _divisor_terms(n: int) -> list:
+    # the d > 1 terms of the signed divisor sum
+    return [(d, mu, beta_table(n // d).__getitem__)
+            for d, mu in _square_free_divisors(n) if d > 1]
 
 
-def _beta_dev_chunk(bounds: tuple[int, int]) -> tuple[Optional[_Candidate], int]:
-    family: Family = _SCAN_STATE["family"]
-    terms = _SCAN_STATE["terms"]
-    betas = _SCAN_STATE["betas"]
-    lo, hi = bounds
+def _beta_dev_chunk(family: Family, terms, betas: list[Count], lo: int,
+                    hi: int) -> tuple[Optional[_Candidate], int]:
     members = list(family.member_range(lo, hi))
     if not members:
         return None, 0
@@ -238,56 +256,43 @@ def _beta_dev_chunk(bounds: tuple[int, int]) -> tuple[Optional[_Candidate], int]
     return best, len(members)
 
 
-def _exhaustive_scan(family: Family, jobs: int = 1) -> ScanReport:
-    """The scan over every member: sharded over fixed mask ranges of the
-    whole beta table; merging uses the total order, so any worker count
-    produces the same report."""
+def _exhaustive_scan(family: Family) -> ScanReport:
+    """The reference scan: every member, read off the whole beta table in
+    fixed aligned chunks of masks."""
     n = family.n
     start = time.monotonic()
-    terms = [(d, mu, beta_table(n // d).__getitem__)
-             for d, mu in _square_free_divisors(n) if d > 1]
+    terms = _divisor_terms(n)
     betas = beta_table(n)
-    _SCAN_STATE.update(family=family, terms=terms, betas=betas)
-    try:
-        size = 1 << (n - 1)
-        chunks = min(size, 1 << _CHUNK_BITS)
-        step = size // chunks
-        # aligned power-of-two blocks, as signed_divisor_block needs
-        bounds = [(i * step, (i + 1) * step) for i in range(chunks)]
-        pool_cls = None
-        if jobs > 1 and size > 1 << 12:
-            try:
-                pool_cls = multiprocessing.get_context("fork").Pool
-            except ValueError:
-                pool_cls = None  # no fork on this platform; same result either way
-        if pool_cls is not None:
-            with pool_cls(jobs) as pool:
-                results = pool.map(_beta_dev_chunk, bounds, chunksize=1)
-        else:
-            results = [_beta_dev_chunk(b) for b in bounds]
-    finally:
-        _SCAN_STATE.clear()
+    size = 1 << (n - 1)
+    step = size // min(size, 1 << _CHUNK_BITS)
     best: Optional[_Candidate] = None
     scanned = 0
-    for cand, seen in results:
+    # aligned power-of-two blocks, as signed_divisor_block needs
+    for lo in range(0, size, step):
+        cand, seen = _beta_dev_chunk(family, terms, betas, lo, lo + step)
         best = _better(best, cand)
         scanned += seen
     return _report(family, best, scanned, start)
 
 
 def _pruned_scan(family: Family) -> ScanReport:
-    """The all-proper scan as a depth-first walk that skips what it proves
-    cannot reach the best deviation found so far."""
+    """The scan as a depth-first walk that skips what it proves cannot
+    reach the best deviation found so far."""
     n = family.n
     start = time.monotonic()
-    terms = [(d, mu, beta_table(n // d).__getitem__)
-             for d, mu in _square_free_divisors(n) if d > 1]
+    terms = _divisor_terms(n)
     # |n * beta_cyc - beta| is the absolute sum of the d > 1 terms, and each
     # term is at most E_{n/d}, since no beta_m exceeds E_m (Niven)
     bound = sum(euler_zigzag(n // d) for d, _, _ in terms)
-    full = (1 << (n - 1)) - 1
-    # {1} is a member for every n >= 3, with beta_n({1}) = n - 1
-    best_num, best_den, best_mask = abs(signed_divisor_sum(n, 1, terms)), n - 1, 1
+    below = family.members_below
+    # every all-proper prefix short of a leaf has a member
+    sparse = family.kind != "all-proper"
+    best: Optional[_Candidate] = None
+    # a node is skipped only when bound / den < best deviation strictly, so
+    # exact ties are evaluated and _better settles them; for whole numbers
+    # that is den > cutoff.  No beta_n exceeds n!, so nothing is skipped
+    # before the first member
+    cutoff = math.factorial(n)
     scanned = 0
     # (mask of the fixed bits 1..p-1, p, psi of that prefix); sum(psi) is
     # beta_p of the prefix, and every set below the node has beta_n at least
@@ -295,21 +300,20 @@ def _pruned_scan(family: Family) -> ScanReport:
     stack = [(0, 1, [1])]
     while stack:
         mask, p, psi = stack.pop()
+        if sparse and not below(mask, p):
+            continue
         den = sum(psi)
-        # strict, so exact ties are evaluated and _better settles them.  A
-        # skipped node never lies above the empty or the full set: their
-        # prefixes have beta 1, and no deviation exceeds bound / 1
-        if bound * best_den < best_num * den:
-            scanned += 1 << (n - p)
+        if den > cutoff:
+            scanned += below(mask, p)
         elif p < n:
             stack.append((mask | 1 << (p - 1), p + 1, psi_step(psi, True)))
             stack.append((mask, p + 1, psi_step(psi, False)))
-        elif 0 < mask < full:
+        elif below(mask, n):
             scanned += 1
-            cand = (abs(signed_divisor_sum(n, mask, terms)), den, mask)
-            best_num, best_den, best_mask = _better(
-                (best_num, best_den, best_mask), cand)
-    return _report(family, (best_num, best_den, best_mask), scanned, start)
+            best = _better(best, (abs(signed_divisor_sum(n, mask, terms)), den, mask))
+            if best[0]:
+                cutoff = bound * best[1] // best[0]
+    return _report(family, best, scanned, start)
 
 
 def _report(family: Family, best: Optional[_Candidate], scanned: int,
@@ -333,21 +337,14 @@ def _report(family: Family, best: Optional[_Candidate], scanned: int,
 
 
 def beta_deviation_scan(family: Family, jobs: int = 1) -> ScanReport:
-    """Exact max of |n * beta_cyc / beta - 1| over the family.
+    """Exact max of |n * beta_cyc / beta - 1| over the family, with its
+    lexicographically smallest argmax, by the pruned walk in one process.
 
-    The all-proper family (n <= ALL_PROPER_SCAN_CAP) takes the pruned walk
-    in one process, where jobs has no effect; the others (n <= SCAN_CAP)
-    take the exhaustive scan with jobs workers.  Both report the maximum
-    with its lexicographically smallest argmax.
+    jobs must be at least 1 and changes no byte of the report.
     """
-    n = family.n
-    all_proper = family.kind == "all-proper"
-    cap = ALL_PROPER_SCAN_CAP if all_proper else SCAN_CAP
-    if n > cap:
-        raise CapacityError(f"{family.describe()} scan capped at n = {cap}")
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
-    return _pruned_scan(family) if all_proper else _exhaustive_scan(family, jobs)
+    return _pruned_scan(family)
 
 
 def _shared_prime_masks(n: int) -> list[int]:

@@ -177,11 +177,11 @@ def _parse_family(text: str, n: int) -> asymptotics.Family:
         " or alt-threshold:EPS")
 
 
-def _parse_range(args: argparse.Namespace) -> list[int]:
+def _parse_range(args: argparse.Namespace) -> range:
     if (args.n is None) == (args.n_range is None):
         raise DomainError("give exactly one of --n or --n-range")
     if args.n is not None:
-        return [args.n]
+        return range(args.n, args.n + 1)
     pieces = args.n_range.split(":")
     if len(pieces) not in (2, 3):
         raise DomainError(f"bad range {args.n_range!r}; expected START:STOP[:STEP]")
@@ -192,15 +192,14 @@ def _parse_range(args: argparse.Namespace) -> list[int]:
         raise DomainError(f"bad range {args.n_range!r}") from None
     if step < 1 or stop < start:
         raise DomainError(f"bad range {args.n_range!r}")
-    return list(range(start, stop + 1, step))
+    return range(start, stop + 1, step)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    sizes = _parse_range(args)
-    reports = []
-    for n in sizes:
-        family = _parse_family(args.family, n)
-        reports.append(asymptotics.beta_deviation_scan(family, jobs=args.jobs))
+    # every family first, so an over-cap n fails before any scan runs
+    families = [_parse_family(args.family, n) for n in _parse_range(args)]
+    reports = [asymptotics.beta_deviation_scan(family, jobs=args.jobs)
+               for family in families]
     if args.format == "json":
         doc = {"reports": [r.to_json_dict(include_timing=args.timing)
                            for r in reports]}

@@ -52,12 +52,6 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(r.ok for r in self.results)
 
-    def first_failure(self) -> CheckResult | None:
-        for r in self.results:
-            if not r.ok:
-                return r
-        return None
-
 
 def _check(label: str):
     """Turn a body returning (ok, witness) into a check line.

@@ -46,6 +46,22 @@ def test_family_members():
     for n in range(1, 13):
         fam = Family.alt_threshold(n, Fraction(2, 5))
         assert len(list(fam.members())) == fam.member_count(), n
+    # the walk skips prefixes with no member and adds members_below for
+    # every subtree it prunes
+    for n in range(1, 11):
+        families = [Family.alt_threshold(n, eps) for eps in (
+            Fraction(1, 4), Fraction(2, 5), Fraction(49, 100))]
+        if n >= 3:
+            families.append(Family.all_proper(n))
+        if n >= 4:
+            families += [Family.periodic(n, 2, (2,)), Family.periodic(n, 4, (1, 3, 4))]
+        for family in families:
+            members = list(family.members())
+            for p in range(1, n + 1):
+                low = (1 << (p - 1)) - 1
+                for mask in range(low + 1):
+                    expected = sum(m & low == mask for m in members)
+                    assert family.members_below(mask, p) == expected, (family, mask, p)
 
 
 def test_beta_scan_small_examples():
@@ -74,8 +90,8 @@ def _direct_scan(family):
 
 
 def test_beta_scan_matches_direct_maximum():
-    # alt-threshold and periodic members are not contiguous, and most of
-    # their chunks hold no member at all
+    # alt-threshold and periodic members are not contiguous: the walk skips
+    # every prefix that no member extends
     families = []
     for n in range(3, 12):
         families.append(Family.all_proper(n))
@@ -94,8 +110,7 @@ def test_beta_scan_matches_direct_maximum():
 
 
 def test_beta_scan_deterministic_across_jobs():
-    # all-proper takes the one-process walk, where jobs is byte-neutral;
-    # alt-threshold takes the exhaustive scan and its fork pool
+    # every family takes the one-process walk, where jobs is byte-neutral
     for family in (Family.all_proper(26), Family.alt_threshold(14, Fraction(2, 5))):
         reports = [
             json.dumps(beta_deviation_scan(family, jobs=jobs).to_json_dict())
@@ -105,11 +120,17 @@ def test_beta_scan_deterministic_across_jobs():
 
 
 def test_pruned_scan_matches_exhaustive_scan():
-    # the walk serves all-proper; the exhaustive route visits every member
-    for n in range(3, 23):
-        family = Family.all_proper(n)
+    # the exhaustive reference visits every member of the whole beta table
+    families = [Family.all_proper(n) for n in range(3, 23)]
+    for n in range(1, 17):
+        families += [Family.alt_threshold(n, eps) for eps in (
+            Fraction(1, 4), Fraction(2, 5), Fraction(49, 100))]
+        if n >= 4:
+            families += [Family.periodic(n, 2, (2,)), Family.periodic(n, 3, (1,)),
+                         Family.periodic(n, 4, (1, 3, 4))]
+    for family in families:
         assert (beta_deviation_scan(family).to_json_dict()
-                == _exhaustive_scan(family).to_json_dict()), n
+                == _exhaustive_scan(family).to_json_dict()), family
 
 
 def test_pruned_scan_argmax_beyond_exhaustive_cap():

@@ -4,7 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from descyc import cyclic
+from descyc import asymptotics, cyclic
 from descyc.cli import main
 from descyc.core import InvariantViolation
 
@@ -75,13 +75,35 @@ def test_compute_errors(capsys):
     assert exc.value.code == 2
 
 
-def test_unbounded_inputs_capped(capsys):
+def test_unbounded_inputs_capped(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "compute", "alt-cycles", "--n", "20000")
     assert code == 2 and not out and "capped at n = 2000" in err
     code, out, err = run_cli(capsys, "sequence", "euler", "--max-n", "5000")
     assert code == 2 and not out and "capped at n = 2000" in err
     code, out, err = run_cli(capsys, "compute", "euler", "--n", "2001")
     assert code == 2 and not out and "capped at n = 2000" in err
+    # an over-cap scan exits 2 before any scan or any n-bit pattern mask
+    calls = []
+
+    def refuse(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called before the cap check")
+        return record
+
+    monkeypatch.setattr(asymptotics, "beta_deviation_scan", refuse("scan"))
+    monkeypatch.setattr(asymptotics.Family, "_periodic_mask", refuse("mask"))
+    for argv, message in [
+        (("--family", "periodic:2:1", "--n", "3000000"),
+         "periodic:2:1 scan capped at n = 24"),
+        (("--family", "all-proper", "--n-range", "29:33"),
+         "all-proper scan capped at n = 32"),
+        (("--family", "alt-threshold:0.25", "--n-range", "1:1000000000000"),
+         "alt-threshold:1/4 scan capped at n = 24"),
+    ]:
+        code, out, err = run_cli(capsys, "scan", *argv)
+        assert code == 2 and not out and message in err, argv
+    assert calls == []
 
 
 def test_compute_beyond_digit_limit(capsys):
@@ -191,12 +213,17 @@ def test_scan_range_and_formats(capsys):
 
 
 def test_scan_matches_reference_report(capsys):
-    # the reports of the per-mask numerator loop, which pin every maximum
-    # and the tie order of the argmax for n = 3..18
-    code, out, _ = run_cli(capsys, "scan", "--family", "all-proper",
-                           "--n-range", "3:18", "--format", "json")
-    assert code == 0
-    assert out == (DATA_DIR / "scan_all_proper_3_18.json").read_text()
+    # reports of exhaustive scans, which pin every maximum and the tie
+    # order of the argmax
+    for family, sizes, name in [
+        ("all-proper", "3:18", "scan_all_proper_3_18.json"),
+        ("alt-threshold:2/5", "3:20", "scan_alt_threshold_2_5_3_20.json"),
+        ("alt-threshold:49/100", "3:20", "scan_alt_threshold_49_100_3_20.json"),
+    ]:
+        code, out, _ = run_cli(capsys, "scan", "--family", family,
+                               "--n-range", sizes, "--format", "json")
+        assert code == 0
+        assert out == (DATA_DIR / name).read_text(), family
 
 
 def test_scan_errors(capsys):
