@@ -103,6 +103,8 @@ class Family:
         epsilon = Fraction(epsilon)
         if not 0 < epsilon < Fraction(1, 2):
             raise DomainError(f"epsilon must be in (0, 1/2), got {epsilon}")
+        if n < 1:
+            raise DomainError(f"needs n >= 1, got {n}")
         return cls(n, "alt-threshold", epsilon=epsilon)
 
     def describe(self) -> str:
@@ -184,8 +186,6 @@ def _alt_qualifies(alt: int, n: int, epsilon: Fraction) -> bool:
 def almost_all_fraction(n: int, epsilon: Fraction) -> Fraction:
     """Fraction of subsets whose alternation number clears the threshold."""
     family = Family.alt_threshold(n, epsilon)
-    if n < 1:
-        raise DomainError(f"needs n >= 1, got {n}")
     return Fraction(family.member_count(), 1 << (n - 1))
 
 

@@ -22,18 +22,6 @@ from pathlib import Path
 from . import asymptotics, cyclic, linear, lyndon, oracle, patterns, verify
 from .core import DescentSet, DomainError, csv_field
 
-STATISTICS = (
-    "alpha", "beta", "alpha-cyc", "beta-cyc", "eulerian", "eulerian-cyc",
-    "euler", "euler-k", "alt-cycles", "kz-cycles", "gamma", "gamma-star",
-    "cycles-avoid-123", "cycles-avoid-321", "lyndon-count",
-    "type-descent-count",
-)
-
-SEQUENCES = (
-    "alt-cycles", "cycles-avoid-123", "cycles-avoid-321", "gamma",
-    "gamma-star", "euler", "eulerian-cyc-row",
-)
-
 GOLDEN_DEFAULT_MAX_N = 6
 
 
@@ -47,67 +35,69 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise DomainError(f"bad {what}: {text!r}") from None
 
 
-def _require(args: argparse.Namespace, names: list[str], statistic: str) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise DomainError(f"{statistic} requires --{name}")
+# The statistics of n alone, in the order `sequence` lists them; each
+# serves both `compute` and `sequence`.  Here and in _COMPUTE a package
+# function is looked up on each call, so a rebound module attribute (a
+# test's patch) takes effect.
+_OF_N = {
+    "alt-cycles": lambda n: cyclic.alternating_cycles(n),
+    "cycles-avoid-123": lambda n: patterns.cycles_avoiding_incr3(n),
+    "cycles-avoid-321": lambda n: patterns.cycles_avoiding_decr3(n),
+    "gamma": lambda n: patterns.gamma(n),
+    "gamma-star": lambda n: patterns.gamma_star(n),
+    "euler": lambda n: linear.euler_zigzag(n),
+}
+
+
+def _of_n(name: str):
+    return ("n",), lambda a: _OF_N[name](a.n)
+
+
+def _descent_set(args: argparse.Namespace) -> DescentSet:
+    return DescentSet.from_text(args.n, args.set or "")
+
+
+def _type_descent_count(args: argparse.Namespace) -> int:
+    lam = lyndon.Partition(_parse_int_list(args.type, "type"))
+    n = args.n if args.n is not None else lam.n
+    if n != lam.n:
+        raise DomainError(f"--n {n} does not match type size {lam.n}")
+    return lyndon.count_by_type_and_descents(
+        lam, DescentSet.from_text(n, args.set or ""), exact=not args.contained)
+
+
+# Every `compute` statistic, in the order --help lists them: the flags it
+# requires, checked in this order, and its value from the parsed arguments.
+_COMPUTE = {
+    "alpha": (("n",), lambda a: linear.alpha(_descent_set(a))),
+    "beta": (("n",), lambda a: linear.beta(_descent_set(a))),
+    "alpha-cyc": (("n",), lambda a: cyclic.alpha_cyc(_descent_set(a))),
+    "beta-cyc": (("n",), lambda a: cyclic.beta_cyc(_descent_set(a))),
+    "eulerian": (("n", "k"), lambda a: linear.eulerian(a.n, a.k)),
+    "eulerian-cyc": (("n", "k"), lambda a: cyclic.cyclic_eulerian(a.n, a.k)),
+    "euler": _of_n("euler"),
+    "euler-k": (("n", "k"), lambda a: linear.generalized_euler(a.n, a.k)),
+    "alt-cycles": _of_n("alt-cycles"),
+    "kz-cycles": (("n", "k"), lambda a: cyclic.kz_cycles(a.n, a.k)),
+    "gamma": _of_n("gamma"),
+    "gamma-star": _of_n("gamma-star"),
+    "cycles-avoid-123": _of_n("cycles-avoid-123"),
+    "cycles-avoid-321": _of_n("cycles-avoid-321"),
+    "lyndon-count": (("n", "evaluation"), lambda a: lyndon.count_lyndon(
+        a.n, _parse_int_list(a.evaluation, "evaluation"))),
+    "type-descent-count": (("type",), _type_descent_count),
+}
+
+STATISTICS = tuple(_COMPUTE)
+SEQUENCES = (*_OF_N, "eulerian-cyc-row")
 
 
 def _compute_value(args: argparse.Namespace) -> int:
-    stat = args.statistic
-    if stat in ("alpha", "beta", "alpha-cyc", "beta-cyc"):
-        _require(args, ["n"], stat)
-        I = DescentSet.from_text(args.n, args.set or "")
-        return {
-            "alpha": linear.alpha,
-            "beta": linear.beta,
-            "alpha-cyc": cyclic.alpha_cyc,
-            "beta-cyc": cyclic.beta_cyc,
-        }[stat](I)
-    if stat == "eulerian":
-        _require(args, ["n", "k"], stat)
-        return linear.eulerian(args.n, args.k)
-    if stat == "eulerian-cyc":
-        _require(args, ["n", "k"], stat)
-        return cyclic.cyclic_eulerian(args.n, args.k)
-    if stat == "euler":
-        _require(args, ["n"], stat)
-        return linear.euler_zigzag(args.n)
-    if stat == "euler-k":
-        _require(args, ["n", "k"], stat)
-        return linear.generalized_euler(args.n, args.k)
-    if stat == "alt-cycles":
-        _require(args, ["n"], stat)
-        return cyclic.alternating_cycles(args.n)
-    if stat == "kz-cycles":
-        _require(args, ["n", "k"], stat)
-        return cyclic.kz_cycles(args.n, args.k)
-    if stat == "gamma":
-        _require(args, ["n"], stat)
-        return patterns.gamma(args.n)
-    if stat == "gamma-star":
-        _require(args, ["n"], stat)
-        return patterns.gamma_star(args.n)
-    if stat == "cycles-avoid-123":
-        _require(args, ["n"], stat)
-        return patterns.cycles_avoiding_incr3(args.n)
-    if stat == "cycles-avoid-321":
-        _require(args, ["n"], stat)
-        return patterns.cycles_avoiding_decr3(args.n)
-    if stat == "lyndon-count":
-        _require(args, ["n", "evaluation"], stat)
-        return lyndon.count_lyndon(
-            args.n, _parse_int_list(args.evaluation, "evaluation"))
-    if stat == "type-descent-count":
-        _require(args, ["type"], stat)
-        parts = _parse_int_list(args.type, "type")
-        lam = lyndon.Partition(parts)
-        n = args.n if args.n is not None else lam.n
-        if n != lam.n:
-            raise DomainError(f"--n {n} does not match type size {lam.n}")
-        I = DescentSet.from_text(n, args.set or "")
-        return lyndon.count_by_type_and_descents(lam, I, exact=not args.contained)
-    raise DomainError(f"unknown statistic {stat!r}")
+    required, value = _COMPUTE[args.statistic]
+    for name in required:
+        if getattr(args, name) is None:
+            raise DomainError(f"{args.statistic} requires --{name}")
+    return value(args)
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -235,14 +225,7 @@ def _sequence_rows(name: str, max_n: int) -> list[tuple[int, ...]]:
             for n in range(1, max_n + 1)
             for k in range(1, n + 1)
         ]
-    func = {
-        "alt-cycles": cyclic.alternating_cycles,
-        "cycles-avoid-123": patterns.cycles_avoiding_incr3,
-        "cycles-avoid-321": patterns.cycles_avoiding_decr3,
-        "gamma": patterns.gamma,
-        "gamma-star": patterns.gamma_star,
-        "euler": linear.euler_zigzag,
-    }[name]
+    func = _OF_N[name]
     func(max_n)  # an over-cap max_n fails here, before the smaller rows
     return [(n, func(n)) for n in range(1, max_n + 1)]
 

@@ -17,7 +17,8 @@ from typing import Iterable, Iterator
 # touch floating point.
 Count = int
 
-# Masks are kept inside one machine word; every practical scan is n <= ~24.
+# Masks are kept inside one machine word; the largest scan, all-proper,
+# reaches n = 32 (asymptotics.ALL_PROPER_SCAN_CAP).
 MAX_N = 64
 
 # Whole per-ambient tables are memoized up to this size; larger ones are
@@ -163,15 +164,6 @@ class DescentSet:
     def complement(self) -> "DescentSet":
         full = (1 << (self.n - 1)) - 1
         return DescentSet(self.n, full ^ self.mask)
-
-    def gcd(self) -> int:
-        return descent_gcd(self)
-
-    def quotient(self, d: int) -> "DescentSet":
-        return subset_quotient(self, d)
-
-    def alternation(self) -> tuple[tuple[int, ...], int]:
-        return alternation(self)
 
 
 def mask_elements(mask: int) -> tuple[int, ...]:

@@ -11,7 +11,6 @@ theorem, so a nonzero remainder means a bug and aborts loudly.
 
 from __future__ import annotations
 
-import enum
 import math
 from functools import lru_cache, partial
 from operator import mul, neg
@@ -37,20 +36,6 @@ from .linear import (
     euler_zigzag,
     generalized_euler,
 )
-
-
-class FormulaKind(enum.Enum):
-    """The distinct cycle-counting formulas exposed by this module.
-
-    docs/formula_kinds.md maps each kind to its formula and entry point.
-    """
-
-    CYCLE_CONTAINED_DESCENTS = "alpha-cyc"
-    CYCLE_EXACT_DESCENTS = "beta-cyc"
-    CYCLE_EULERIAN = "eulerian-cyc"
-    CYCLE_ALTERNATING = "alt-cycles"
-    CYCLE_MULTIPLES_OF_K = "kz-cycles"
-    CYCLE_MULTIPLES_ODD_PRIME = "kz-cycles-odd-prime"
 
 
 @lru_cache(maxsize=MEMO_SIZE)

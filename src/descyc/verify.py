@@ -31,10 +31,6 @@ from .core import (
     quotient_mask,
 )
 
-SUITES = ("oracle", "inversions", "corollaries", "lyndon", "patterns",
-          "bounds", "all")
-
-
 @dataclass(frozen=True)
 class CheckResult:
     label: str
@@ -492,6 +488,8 @@ _SUITE_FUNCS = {
     "bounds": suite_bounds,
 }
 
+SUITES = (*_SUITE_FUNCS, "all")
+
 
 def run_suite(suite: str, max_n: int) -> SuiteReport:
     """Run one named suite (or all of them) up to the clamped size."""
@@ -499,9 +497,6 @@ def run_suite(suite: str, max_n: int) -> SuiteReport:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
     if max_n < 1:
         raise DomainError(f"max_n must be >= 1, got {max_n}")
-    if suite == "all":
-        results: list[CheckResult] = []
-        for name in SUITES[:-1]:
-            results.extend(_SUITE_FUNCS[name](max_n))
-        return SuiteReport(suite, max_n, tuple(results))
-    return SuiteReport(suite, max_n, tuple(_SUITE_FUNCS[suite](max_n)))
+    names = _SUITE_FUNCS if suite == "all" else (suite,)
+    results = [r for name in names for r in _SUITE_FUNCS[name](max_n)]
+    return SuiteReport(suite, max_n, tuple(results))

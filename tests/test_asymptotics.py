@@ -167,6 +167,9 @@ def test_beta_scan_errors():
         beta_deviation_scan(Family.all_proper(33))
     with pytest.raises(CapacityError):
         beta_deviation_scan(Family.alt_threshold(25, Fraction(1, 4)))
+    # refused by the family, before any scan reaches divisors(n)
+    with pytest.raises(DomainError, match="needs n >= 1, got 0"):
+        Family.alt_threshold(0, Fraction(1, 4))
 
 
 def test_alpha_scan():

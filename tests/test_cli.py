@@ -1,10 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from descyc import asymptotics, cyclic
+from descyc import asymptotics, cli, cyclic
 from descyc.cli import main
 from descyc.core import InvariantViolation
 
@@ -73,6 +74,67 @@ def test_compute_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "nonsense", "--n", "4"])
     assert exc.value.code == 2
+
+
+def test_every_missing_flag_refused(capsys):
+    # the required flags suffice, and each one left out in turn is named
+    sample = {"n": "4", "k": "2", "evaluation": "2,2", "type": "2,2"}
+
+    def given(flags):
+        return [a for flag in flags for a in (f"--{flag}", sample[flag])]
+
+    for stat in cli.STATISTICS:
+        required = cli._COMPUTE[stat][0]
+        code, _, err = run_cli(capsys, "compute", stat, *given(required))
+        assert code == 0, (stat, err)
+        for missing in required:
+            argv = ["compute", stat, *given(f for f in required if f != missing)]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: {stat} requires --{missing}\n", argv
+
+
+def test_sequences_match_compute(capsys):
+    def computed(*argv):
+        code, out, err = run_cli(capsys, "compute", *argv)
+        assert code == 0, (argv, err)
+        return int(out)
+
+    for name in cli.SEQUENCES:
+        code, out, err = run_cli(capsys, "sequence", name, "--max-n", "5",
+                                 "--format", "json")
+        assert code == 0, (name, err)
+        rows = json.loads(out)["rows"]
+        if name == "eulerian-cyc-row":
+            expected = [[n, k, computed("eulerian-cyc", "--n", str(n), "--k", str(k))]
+                        for n in range(1, 6) for k in range(1, n + 1)]
+        else:
+            expected = [[n, computed(name, "--n", str(n))] for n in range(1, 6)]
+        assert rows == expected, name
+
+
+def test_choices_order_pinned():
+    # --help and argparse's invalid-choice message print these in order
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def choices(command):
+        (found,) = [a.choices for a in commands[command]._actions
+                    if a.choices and not a.option_strings]
+        return found
+
+    assert choices("compute") == (
+        "alpha", "beta", "alpha-cyc", "beta-cyc", "eulerian", "eulerian-cyc",
+        "euler", "euler-k", "alt-cycles", "kz-cycles", "gamma", "gamma-star",
+        "cycles-avoid-123", "cycles-avoid-321", "lyndon-count",
+        "type-descent-count")
+    assert choices("sequence") == (
+        "alt-cycles", "cycles-avoid-123", "cycles-avoid-321", "gamma",
+        "gamma-star", "euler", "eulerian-cyc-row")
+    assert choices("verify") == (
+        "oracle", "inversions", "corollaries", "lyndon", "patterns", "bounds",
+        "all")
 
 
 def test_unbounded_inputs_capped(capsys, monkeypatch):
@@ -239,6 +301,9 @@ def test_scan_errors(capsys):
     code, _, err = run_cli(capsys, "scan", "--family", "all-proper",
                            "--n-range", "9:3")
     assert code == 2
+    code, out, err = run_cli(capsys, "scan", "--family", "alt-threshold:1/4",
+                             "--n", "0")
+    assert code == 2 and not out and err == "error: needs n >= 1, got 0\n"
 
 
 def test_sequence_outputs(capsys):
