@@ -41,8 +41,8 @@ from .core import (
 from .cyclic import (
     _square_free_divisors,
     alpha_cyc_mask,
-    signed_divisor_block,
     signed_divisor_sum,
+    signed_divisor_table,
 )
 from .linear import alpha_mask, beta_table, euler_zigzag, kz_mask, psi_step
 
@@ -50,7 +50,6 @@ SCAN_CAP = 24
 # Largest n of an all-proper family: at n = 32 its scan takes about 5 s and
 # 20 MB on one core.  Every other family stays at SCAN_CAP.
 ALL_PROPER_SCAN_CAP = 32
-_CHUNK_BITS = 6  # the reference scan reads 64 aligned chunks
 
 
 @dataclass(frozen=True)
@@ -154,24 +153,13 @@ class Family:
 
     def members(self) -> Iterator[int]:
         """Member masks, ascending."""
-        return self.member_range(0, 1 << (self.n - 1))
-
-    def _alt_members(self, start: int, stop: int) -> Iterator[int]:
         n, eps = self.n, self.epsilon
-        for mask in range(start, stop):
-            if _alt_qualifies(alternation_mask(mask, n).bit_count(), n, eps):
-                yield mask
-
-    def member_range(self, start: int, stop: int) -> Iterator[int]:
-        """Members within [start, stop), for the chunked reference scan."""
         if self.kind == "all-proper":
-            lo = max(start, 1)
-            hi = min(stop, (1 << (self.n - 1)) - 1)
-            return iter(range(lo, hi))
+            return iter(range(1, (1 << (n - 1)) - 1))
         if self.kind == "periodic":
-            mask = self._periodic_mask()
-            return iter((mask,) if start <= mask < stop else ())
-        return self._alt_members(start, stop)
+            return iter((self._periodic_mask(),))
+        return (mask for mask in range(1 << (n - 1))
+                if _alt_qualifies(alternation_mask(mask, n).bit_count(), n, eps))
 
 
 def _alt_qualifies(alt: int, n: int, epsilon: Fraction) -> bool:
@@ -236,43 +224,22 @@ def _divisor_terms(n: int) -> list:
             for d, mu in _square_free_divisors(n) if d > 1]
 
 
-def _beta_dev_chunk(family: Family, terms, betas: list[Count], lo: int,
-                    hi: int) -> tuple[Optional[_Candidate], int]:
-    members = list(family.member_range(lo, hi))
-    if not members:
-        return None, 0
+def _exhaustive_scan(family: Family) -> ScanReport:
+    """The reference scan: every member, read off whole tables."""
+    start = time.monotonic()
     # the d = 1 term is beta itself, so the d > 1 terms sum to the
     # numerator n * beta_cyc - beta
-    block = signed_divisor_block(family.n, lo, (hi - lo).bit_length() - 1, terms)
-    nums = list(map(abs, map(block.__getitem__, map(lo.__rsub__, members))))
-    dens = list(map(betas.__getitem__, members))
+    nums = signed_divisor_table(family.n, _divisor_terms(family.n))
+    betas = beta_table(family.n)
+    members = list(family.members())
     # floor(num / den * 2^64) is monotone in num / den, so every member tied
     # with the exact maximum carries the top key; _better settles the rest
-    keys = [(num << 64) // den for num, den in zip(nums, dens)]
+    keys = [(abs(nums[m]) << 64) // betas[m] for m in members]
     top = max(keys)
     best: Optional[_Candidate] = None
-    for cand in compress(zip(nums, dens, members), map(top.__eq__, keys)):
-        best = _better(best, cand)
-    return best, len(members)
-
-
-def _exhaustive_scan(family: Family) -> ScanReport:
-    """The reference scan: every member, read off the whole beta table in
-    fixed aligned chunks of masks."""
-    n = family.n
-    start = time.monotonic()
-    terms = _divisor_terms(n)
-    betas = beta_table(n)
-    size = 1 << (n - 1)
-    step = size // min(size, 1 << _CHUNK_BITS)
-    best: Optional[_Candidate] = None
-    scanned = 0
-    # aligned power-of-two blocks, as signed_divisor_block needs
-    for lo in range(0, size, step):
-        cand, seen = _beta_dev_chunk(family, terms, betas, lo, lo + step)
-        best = _better(best, cand)
-        scanned += seen
-    return _report(family, best, scanned, start)
+    for m in compress(members, map(top.__eq__, keys)):
+        best = _better(best, (abs(nums[m]), betas[m], m))
+    return _report(family, best, len(members), start)
 
 
 def _pruned_scan(family: Family) -> ScanReport:

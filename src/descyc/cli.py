@@ -50,15 +50,19 @@ _OF_N = {
 
 
 def _of_n(name: str):
-    return ("n",), lambda a: _OF_N[name](a.n)
+    return ("n",), (), lambda a: _OF_N[name](a.n)
 
 
 def _descent_set(args: argparse.Namespace) -> DescentSet:
     return DescentSet.from_text(args.n, args.set or "")
 
 
+def _cycle_type(args: argparse.Namespace) -> lyndon.Partition:
+    return lyndon.Partition(_parse_int_list(args.type, "type"))
+
+
 def _type_descent_count(args: argparse.Namespace) -> int:
-    lam = lyndon.Partition(_parse_int_list(args.type, "type"))
+    lam = _cycle_type(args)
     n = args.n if args.n is not None else lam.n
     if n != lam.n:
         raise DomainError(f"--n {n} does not match type size {lam.n}")
@@ -67,36 +71,43 @@ def _type_descent_count(args: argparse.Namespace) -> int:
 
 
 # Every `compute` statistic, in the order --help lists them: the flags it
-# requires, checked in this order, and its value from the parsed arguments.
+# requires, checked in this order, the flags it may take besides, and its
+# value from the parsed arguments.  Any other flag is refused.
 _COMPUTE = {
-    "alpha": (("n",), lambda a: linear.alpha(_descent_set(a))),
-    "beta": (("n",), lambda a: linear.beta(_descent_set(a))),
-    "alpha-cyc": (("n",), lambda a: cyclic.alpha_cyc(_descent_set(a))),
-    "beta-cyc": (("n",), lambda a: cyclic.beta_cyc(_descent_set(a))),
-    "eulerian": (("n", "k"), lambda a: linear.eulerian(a.n, a.k)),
-    "eulerian-cyc": (("n", "k"), lambda a: cyclic.cyclic_eulerian(a.n, a.k)),
+    "alpha": (("n",), ("set",), lambda a: linear.alpha(_descent_set(a))),
+    "beta": (("n",), ("set",), lambda a: linear.beta(_descent_set(a))),
+    "alpha-cyc": (("n",), ("set",), lambda a: cyclic.alpha_cyc(_descent_set(a))),
+    "beta-cyc": (("n",), ("set",), lambda a: cyclic.beta_cyc(_descent_set(a))),
+    "eulerian": (("n", "k"), (), lambda a: linear.eulerian(a.n, a.k)),
+    "eulerian-cyc": (("n", "k"), (), lambda a: cyclic.cyclic_eulerian(a.n, a.k)),
     "euler": _of_n("euler"),
-    "euler-k": (("n", "k"), lambda a: linear.generalized_euler(a.n, a.k)),
+    "euler-k": (("n", "k"), (), lambda a: linear.generalized_euler(a.n, a.k)),
     "alt-cycles": _of_n("alt-cycles"),
-    "kz-cycles": (("n", "k"), lambda a: cyclic.kz_cycles(a.n, a.k)),
+    "kz-cycles": (("n", "k"), (), lambda a: cyclic.kz_cycles(a.n, a.k)),
     "gamma": _of_n("gamma"),
     "gamma-star": _of_n("gamma-star"),
     "cycles-avoid-123": _of_n("cycles-avoid-123"),
     "cycles-avoid-321": _of_n("cycles-avoid-321"),
-    "lyndon-count": (("n", "evaluation"), lambda a: lyndon.count_lyndon(
+    "lyndon-count": (("n", "evaluation"), (), lambda a: lyndon.count_lyndon(
         a.n, _parse_int_list(a.evaluation, "evaluation"))),
-    "type-descent-count": (("type",), _type_descent_count),
+    "type-descent-count": (("type",), ("n", "set", "contained"), _type_descent_count),
 }
+# The flags of `compute` besides --format, in the order --help lists them;
+# each is None unless given.
+_COMPUTE_FLAGS = ("n", "k", "set", "evaluation", "type", "contained")
 
 STATISTICS = tuple(_COMPUTE)
 SEQUENCES = (*_OF_N, "eulerian-cyc-row")
 
 
 def _compute_value(args: argparse.Namespace) -> int:
-    required, value = _COMPUTE[args.statistic]
+    required, optional, value = _COMPUTE[args.statistic]
     for name in required:
         if getattr(args, name) is None:
             raise DomainError(f"{args.statistic} requires --{name}")
+    for name in _COMPUTE_FLAGS:
+        if getattr(args, name) is not None and name not in required + optional:
+            raise DomainError(f"{args.statistic} does not take --{name}")
     return value(args)
 
 
@@ -104,14 +115,16 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     value = _compute_value(args)
     if args.format == "json":
         doc = {"statistic": args.statistic, "value": value}
-        for key in ("n", "k", "set", "evaluation", "type"):
+        for key in _COMPUTE_FLAGS:
             arg = getattr(args, key)
             if arg is not None:
                 doc[key] = arg
         print(json.dumps(doc, sort_keys=True))
     elif args.format == "csv":
+        # only type-descent-count may omit --n, which is then its type's size
+        n = _cycle_type(args).n if args.n is None else args.n
         print("statistic,n,value")
-        print(f"{args.statistic},{'' if args.n is None else args.n},{value}")
+        print(f"{args.statistic},{n},{value}")
     else:
         print(value)
     return 0
@@ -297,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="comma-separated ascending descent set")
     p.add_argument("--evaluation", help="comma-separated letter multiplicities")
     p.add_argument("--type", help="comma-separated cycle-type parts, descending")
-    p.add_argument("--contained", action="store_true",
+    p.add_argument("--contained", action="store_true", default=None,
                    help="count descent sets contained in --set, not equal to it")
     p.add_argument("--format", **fmt)
     p.set_defaults(func=_cmd_compute)

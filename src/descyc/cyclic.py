@@ -45,36 +45,32 @@ def _square_free_divisors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((d, mu) for d, mu in pairs if mu)
 
 
-def signed_divisor_block(n: int, lo: int, width: int, terms) -> list[int]:
-    """Signed divisor sums for every mask of the block [lo, lo + 2^width).
+def signed_divisor_sum(n: int, mask: int, terms) -> int:
+    """The sum of c * (-1)**(|I| - |I/d|) * f(I/d) over (d, c, f) in terms,
+    for I = mask at ambient n; f takes the quotient mask at n/d.
 
-    Entry j is the sum of c * (-1)**(|I| - |I/d|) * f(I/d) over (d, c, f)
-    in terms, for I = lo + j at ambient n; f takes the quotient mask at n/d.
     With one term (d, mobius(d), beta at n/d) per square-free divisor d of
     n the sum is n * beta_cyc(I), the forward form of the main theorem.
-    The block must be aligned: lo is a multiple of 2^width.
-
-    The block splits each mask as lo | low with disjoint bits, so
-    I/d = lo/d | low/d and the sign is the product of the two signs.  The
-    rows of low/d and of the signs over all lows are built by doubling, one
-    bit position at a time, and f is applied to the whole row at once.  A
-    block of one mask (width 0) skips the rows and sums the terms directly.
     """
-    size = lo.bit_count()
-    if width == 0:
-        total = 0
-        for d, c, f in terms:
-            quotient = quotient_mask(lo, d, n)
-            value = c * f(quotient)
-            total += -value if (size - quotient.bit_count()) & 1 else value
-        return [total]
+    size = mask.bit_count()
+    total = 0
+    for d, c, f in terms:
+        quotient = quotient_mask(mask, d, n)
+        value = c * f(quotient)
+        total += -value if (size - quotient.bit_count()) & 1 else value
+    return total
+
+
+def signed_divisor_table(n: int, terms) -> list[int]:
+    """signed_divisor_sum for every mask of ambient n, indexed by mask.
+
+    The rows of I/d and of the signs over all masks are built by doubling,
+    one bit position at a time, and f is applied to the whole row at once.
+    """
     columns = []
     for d, c, f in terms:
-        high = quotient_mask(lo, d, n)
-        if (size - high.bit_count()) & 1:
-            c = -c
-        quotients, signs = [high], [c]
-        for i in range(1, width + 1):
+        quotients, signs = [0], [c]
+        for i in range(1, n):
             if i % d:  # i joins I but not I/d: the sign flips
                 quotients *= 2
                 signs += list(map(neg, signs))
@@ -83,13 +79,8 @@ def signed_divisor_block(n: int, lo: int, width: int, terms) -> list[int]:
                 signs *= 2
         columns.append(map(mul, signs, map(f, quotients)))
     if not columns:
-        return [0] * (1 << width)
+        return [0] * (1 << (n - 1))
     return list(map(sum, zip(*columns)))
-
-
-def signed_divisor_sum(n: int, mask: int, terms) -> int:
-    """The signed divisor sum of signed_divisor_block at the one mask."""
-    return signed_divisor_block(n, mask, 0, terms)[0]
 
 
 def _beta_cyc_value(total: int, n: int, mask: int) -> Count:
@@ -126,7 +117,7 @@ def beta_cyc_table(n: int) -> list[Count]:
     """beta_cyc for every mask of ambient n, indexed by mask."""
     terms = [(d, mu, beta_table(n // d).__getitem__)
              for d, mu in _square_free_divisors(n)]
-    totals = signed_divisor_block(n, 0, n - 1, terms)
+    totals = signed_divisor_table(n, terms)
     return [_beta_cyc_value(total, n, mask) for mask, total in enumerate(totals)]
 
 

@@ -57,6 +57,16 @@ def test_compute_formats(capsys):
                            "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["statistic,n,value", "gamma,4,17"]
+    # without --n the n column is the size of the cycle type
+    code, out, _ = run_cli(capsys, "compute", "type-descent-count", "--type", "2,2",
+                           "--set", "1,3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["statistic,n,value", "type-descent-count,4,1"]
+    code, out, _ = run_cli(capsys, "compute", "type-descent-count", "--type", "4",
+                           "--set", "2", "--contained", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"statistic": "type-descent-count", "value": 1,
+                               "type": "4", "set": "2", "contained": True}
 
 
 def test_compute_errors(capsys):
@@ -92,6 +102,34 @@ def test_every_missing_flag_refused(capsys):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert err == f"error: {stat} requires --{missing}\n", argv
+
+
+def test_every_unread_flag_refused(capsys):
+    # a statistic takes its required and optional flags, and refuses the rest
+    # after the required ones are checked
+    sample = {"n": ["4"], "k": ["2"], "set": ["1"], "evaluation": ["2,2"],
+              "type": ["2,2"], "contained": []}
+
+    def given(flags):
+        return [a for flag in flags for a in (f"--{flag}", *sample[flag])]
+
+    for stat in cli.STATISTICS:
+        required, optional, _ = cli._COMPUTE[stat]
+        for flag in optional:
+            code, _, err = run_cli(capsys, "compute", stat, *given(required + (flag,)))
+            assert code == 0, (stat, flag, err)
+        for flag in sample:
+            if flag in required + optional:
+                continue
+            argv = ["compute", stat, *given(required + (flag,))]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: {stat} does not take --{flag}\n", argv
+            if required:
+                # a missing required flag is named first
+                argv = ["compute", stat, *given(required[1:] + (flag,))]
+                code, _, err = run_cli(capsys, *argv)
+                assert err == f"error: {stat} requires --{required[0]}\n", argv
 
 
 def test_sequences_match_compute(capsys):

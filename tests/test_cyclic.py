@@ -1,8 +1,16 @@
 import math
+import random
 
 import pytest
 
-from descyc.core import DescentSet, DomainError, divisors, mobius, quotient_mask
+from descyc.core import (
+    TABLE_CACHE_MAX_N,
+    DescentSet,
+    DomainError,
+    divisors,
+    mobius,
+    quotient_mask,
+)
 from descyc.cyclic import (
     alpha_cyc,
     alpha_cyc_mask,
@@ -12,8 +20,8 @@ from descyc.cyclic import (
     beta_cyc_table,
     cyclic_eulerian,
     kz_cycles,
-    signed_divisor_block,
     signed_divisor_sum,
+    signed_divisor_table,
 )
 from descyc.linear import alpha_mask, beta_mask, beta_table, kz_mask
 from descyc.oracle import brute_tables
@@ -142,7 +150,7 @@ def _signed_sum_longhand(n, mask, terms):
     return total
 
 
-def test_signed_divisor_block_matches_longhand():
+def test_signed_divisor_table_matches_longhand():
     for n in range(1, 15):
         # the forward form of the main theorem, and one with every divisor,
         # coefficients other than +-1 and an f that is not a beta table
@@ -154,10 +162,21 @@ def test_signed_divisor_block_matches_longhand():
         size = 1 << (n - 1)
         for terms in term_sets:
             expected = [_signed_sum_longhand(n, m, terms) for m in range(size)]
-            assert signed_divisor_block(n, 0, n - 1, terms) == expected, n
+            assert signed_divisor_table(n, terms) == expected, n
             assert [signed_divisor_sum(n, m, terms) for m in range(size)] == expected
-            if size >= 8:
-                blocks = []
-                for lo in range(0, size, 8):
-                    blocks += signed_divisor_block(n, lo, 3, terms)
-                assert blocks == expected, n
+
+
+def test_signed_divisor_table_above_cache():
+    # n = 18 is above TABLE_CACHE_MAX_N, so beta_cyc_table is built afresh;
+    # its square-free divisors are 1, 2, 3 and 6
+    n = 18
+    assert n > TABLE_CACHE_MAX_N
+    terms = [(d, mobius(d), beta_table(n // d).__getitem__) for d in (1, 2, 3, 6)]
+    table = signed_divisor_table(n, terms)
+    cycles = beta_cyc_table(n)
+    full = (1 << (n - 1)) - 1
+    masks = random.Random(18).sample(range(1, full), 296)
+    masks += [0, full, kz_mask(n, 2), kz_mask(n, 3)]
+    for mask in masks:
+        assert table[mask] == signed_divisor_sum(n, mask, terms), mask
+        assert cycles[mask] == beta_cyc_mask(n, mask), mask
