@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from descyc.core import DescentSet, DomainError, divisors, mobius
-from descyc.cyclic import alpha_cyc_mask, beta_cyc_mask
+from descyc import lyndon
+from descyc.core import CapacityError, DescentSet, DomainError, divisors, mobius
+from descyc.cyclic import alpha_cyc_mask, beta_cyc_mask, beta_cyc_table
 from descyc.linear import beta_table
 from descyc.lyndon import (
     Partition,
@@ -15,6 +16,7 @@ from descyc.lyndon import (
     lyndon_factorize,
     partitions_of,
     period,
+    type_descent_table,
     word_type,
 )
 from descyc.oracle import (
@@ -152,6 +154,7 @@ def test_count_by_type_and_descents():
         betas = beta_table(n)
         _, _, typed = brute_tables(n)
         parts = partitions_of(n)
+        tables = {lam: type_descent_table(lam) for lam in parts}
         for mask in range(1 << (n - 1)):
             I = DescentSet(n, mask)
             total = 0
@@ -160,6 +163,7 @@ def test_count_by_type_and_descents():
                 table = typed.get(lam.parts)
                 assert exact == (table.counts[mask] if table else 0), (
                     n, lam.parts, mask)
+                assert tables[lam][mask] == exact, (n, lam.parts, mask)
                 total += exact
             assert total == betas[mask]
             assert (count_by_type_and_descents(Partition((n,)), I, exact=True)
@@ -170,10 +174,21 @@ def test_count_by_type_and_descents():
             Partition((1,) * n), DescentSet(n), exact=True) == 1
     # past the enumeration cap, the type (n) row is still beta_cyc: a route
     # to the main theorem that shares no code with the divisor-sum formulas
-    for n in (9, 10):
+    for n in range(9, 13):
+        row = type_descent_table(Partition((n,)))
+        assert row == list(beta_cyc_table(n)), n
         for mask in range(1 << (n - 1)):
             assert (count_by_type_and_descents(
                 Partition((n,)), DescentSet(n, mask), exact=True)
-                == beta_cyc_mask(n, mask)), (n, mask)
+                == row[mask]), (n, mask)
     with pytest.raises(DomainError):
         count_by_type_and_descents(Partition((2, 1)), DescentSet(4))
+
+
+def test_type_descent_table_capped_before_any_work():
+    before = lyndon._words_by_type.cache_info()
+    for n in (lyndon.TYPE_TABLE_CAP + 1, 64, 10**6):
+        with pytest.raises(CapacityError, match=f"capped at n = {lyndon.TYPE_TABLE_CAP},"):
+            type_descent_table(Partition((n,)))
+    after = lyndon._words_by_type.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from descyc import lyndon
 from descyc.core import MAX_N, DescentSet, composition_of, divisors, set_of
 from descyc.cyclic import beta_cyc_mask
-from descyc.linear import Strategy, beta_mask
+from descyc.linear import Strategy, beta_mask, multinomial
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -112,13 +112,15 @@ def test_codec_round_trips(case):
 
 @st.composite
 def typed_evaluations(draw):
-    """(lam, mu, shuffled mu) with |lam| = |mu| <= 12 and mu on 1..5 letters."""
+    """(lam, mu, shuffled mu) with |lam| = |mu| <= 12, mu on 1..5 letters
+    and up to 8 more zero letters, so many fields pack a bound of zero."""
     n = draw(st.integers(1, 12))
     lam = draw(st.sampled_from(lyndon.partitions_of(n)))
     letters = draw(st.integers(1, 5))
     cuts = sorted(draw(st.lists(st.integers(0, n), min_size=letters - 1,
                                 max_size=letters - 1)))
     mu = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+    mu += (0,) * draw(st.integers(0, 8))
     return lam, mu, tuple(draw(st.permutations(mu)))
 
 
@@ -131,3 +133,18 @@ def test_word_counts_symmetric_in_evaluation(case):
     lam, mu, shuffled = case
     assert (lyndon._words_by_type.__wrapped__(lam, shuffled)
             == lyndon.count_words_by_type(lam, mu))
+
+
+@PROPERTY
+@given(typed_evaluations())
+def test_word_counts_by_type_sum_to_multinomial(case):
+    # every word of evaluation mu has exactly one Lyndon type, so the counts
+    # over all types of n sum to the multinomial.  The packed bound check
+    # meets fields at their edges here: letters whose field reaches its
+    # bound exactly, and zero letters, whose field must stay zero.  A guard
+    # bit inside the value range, or a borrow from one field into the
+    # next, drops or adds words.
+    _, mu, shuffled = case
+    n = sum(mu)
+    assert sum(lyndon._words_by_type.__wrapped__(lam, shuffled)
+               for lam in lyndon.partitions_of(n)) == multinomial(n, mu)
