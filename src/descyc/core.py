@@ -49,6 +49,34 @@ def small_table_cache(build):
     return table
 
 
+def capped_sequence(name: str, cap: int):
+    """Memoize a sequence a_0, a_1, ... built term by term up to n = cap.
+
+    Decorates a generator function that is called once with the list of
+    terms built so far (a_0..a_{m-1} as it resumes for a_m) and yields the
+    terms in order, each once.  The result is a function of n that raises
+    DomainError below 0, and CapacityError above cap before any term is built.
+    """
+    def decorate(terms):
+        values: list = []
+        steps = terms(values)
+
+        def term(n: int):
+            if n < 0:
+                raise DomainError(f"{name} needs n >= 0, got {n}")
+            if n > cap:
+                raise CapacityError(f"{name} capped at n = {cap}, got {n}")
+            while len(values) <= n:
+                values.append(next(steps))
+            return values[n]
+
+        functools.update_wrapper(term, terms)
+        del term.__wrapped__  # term takes n, not the generator's argument
+        return term
+
+    return decorate
+
+
 def exact_div(total: int, n: int, what: str) -> int:
     """Divide asserting zero remainder; the integrality is a theorem."""
     q, r = divmod(total, n)

@@ -144,6 +144,7 @@ def alternating_cycles(n: int) -> Count:
     """n-cycles whose descent set is the even positions (up-down cycles)."""
     if n < 1:
         raise DomainError(f"alternating cycles needs n >= 1, got {n}")
+    euler_zigzag(n)  # every branch reads E_n: refuses an over-cap n first
     if n % 2 == 1:
         total = 0
         for d, mu in _square_free_divisors(n):

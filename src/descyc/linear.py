@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 
-from .core import CapacityError, Count, DescentSet, DomainError, small_table_cache
+from .core import Count, DescentSet, DomainError, capped_sequence, small_table_cache
 
 # Entries kept by each (n, mask)-keyed beta memo.
 MEMO_SIZE = 1 << 20
@@ -163,29 +163,19 @@ def eulerian(n: int, k: int) -> Count:
 # on one core, and the cost grows with the cube of n.
 ZIGZAG_CAP = 2000
 
-# Zigzag numbers E_0..E_m and the last boustrophedon row (the one ending in
-# E_m), so a larger n extends the table exactly to n without a rebuild.
-_zigzag_cache: list[Count] = [1]
-_zigzag_row: list[Count] = [1]
 
-
-def euler_zigzag(n: int) -> Count:
+@capped_sequence("zigzag numbers", ZIGZAG_CAP)
+def euler_zigzag(values):
     """Alternating (up-down) permutations of n; index 0 is 1 by convention.
 
     Raises CapacityError above ZIGZAG_CAP.
     """
-    if n < 0:
-        raise DomainError(f"zigzag undefined for {n}")
-    if n > ZIGZAG_CAP:
-        raise CapacityError(f"zigzag numbers capped at n = {ZIGZAG_CAP}, got {n}")
-    global _zigzag_row
-    row = _zigzag_row
     # Boustrophedon: each row is built by summing the previous row reversed.
-    while len(_zigzag_cache) <= n:
+    row = [1]
+    yield 1
+    while True:
         row = [0, *itertools.accumulate(reversed(row))]
-        _zigzag_cache.append(row[-1])
-    _zigzag_row = row
-    return _zigzag_cache[n]
+        yield row[-1]
 
 
 def kz_mask(n: int, k: int) -> int:

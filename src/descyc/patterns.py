@@ -9,6 +9,7 @@ on both ends) through signed divisor sums split by residue mod 3.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator
 
@@ -16,6 +17,7 @@ from .core import (
     CapacityError,
     Count,
     DomainError,
+    capped_sequence,
     divisors,
     exact_div,
     mobius,
@@ -45,64 +47,41 @@ def chi_star(r: int) -> int:
     return 0
 
 
-_gamma_values: list[Count] = [1]
-_gamma_star_values: list[Count] = [1, 0]
+# Largest n served by gamma and gamma_star: cold, each builds its terms up
+# to here in about 1.7 s on one core (to n = 800, 2.4 to 2.9 s).
+GAMMA_CAP = 700
 
 
-def gamma(n: int) -> Count:
+@capped_sequence("gamma", GAMMA_CAP)
+def gamma(values):
     """Permutations of n with no two adjacent ascents."""
-    if n < 0:
-        raise DomainError(f"gamma needs n >= 0, got {n}")
-    while len(_gamma_values) <= n:
-        m = len(_gamma_values)
-        total = 0
-        for r in range(1, m + 1):
-            c = chi(r)
-            if c:
-                total += c * math.comb(m, r) * _gamma_values[m - r]
-        _gamma_values.append(total)
-    return _gamma_values[n]
+    yield 1
+    for m in itertools.count(1):
+        yield sum(chi(r) * math.comb(m, r) * values[m - r]
+                  for r in range(1, m + 1) if chi(r))
 
 
-def gamma_star(n: int) -> Count:
+@capped_sequence("gamma*", GAMMA_CAP)
+def gamma_star(values):
     """Permutations of n with no two adjacent descents that start and end
     with an ascent; 1 and 0 for n = 0 and 1 by convention."""
-    if n < 0:
-        raise DomainError(f"gamma* needs n >= 0, got {n}")
-    while len(_gamma_star_values) <= n:
-        m = len(_gamma_star_values)
-        total = 0
-        for r in range(2, m + 1):
-            c = chi_star(r)
-            if c:
-                sign = -1 if r & 1 else 1
-                total += sign * c * math.comb(m, r) * _gamma_star_values[m - r]
-        _gamma_star_values.append(total)
-    return _gamma_star_values[n]
+    yield 1
+    for m in itertools.count(1):  # the sum is empty at m = 1
+        yield sum((-1) ** r * chi_star(r) * math.comb(m, r) * values[m - r]
+                  for r in range(2, m + 1) if chi_star(r))
 
 
 def theta(n: int) -> int:
     """1 on powers of three, -2 on twice powers of three, else 0."""
-    if n % 3 == 0:
-        m = n
-        while m % 3 == 0:
-            m //= 3
-        if m == 1:
-            return 1
-        if m == 2:
-            return -2
-    return 0
+    m = n
+    while m % 3 == 0:
+        m //= 3
+    return {1: 1, 2: -2}.get(m, 0) if m < n else 0
 
 
 def theta_tilde(n: int) -> int:
     """1 on powers of three (exponent >= 1), else 0."""
-    if n % 3 == 0:
-        m = n
-        while m % 3 == 0:
-            m //= 3
-        if m == 1:
-            return 1
-    return 0
+    return 1 if theta(n) == 1 else 0
 
 
 def theta_divisor_sum(n: int) -> int:
@@ -124,6 +103,7 @@ def cycles_avoiding_incr3(n: int) -> Count:
     """n-cycles with no two adjacent ascents."""
     if n < 1:
         raise DomainError(f"needs n >= 1, got {n}")
+    gamma(n)  # the d = 1 term: refuses an over-cap n before divisors(n)
     total = theta(n)
     for d in divisors(n):
         mu = mobius(d)
@@ -141,6 +121,7 @@ def cycles_avoiding_decr3(n: int) -> Count:
     """n-cycles with no two adjacent descents."""
     if n < 1:
         raise DomainError(f"needs n >= 1, got {n}")
+    gamma(n)  # the d = 1 term: refuses an over-cap n before divisors(n)
     total = theta_tilde(n)
     outer_sign = -1 if n & 1 else 1
     for d in divisors(n):

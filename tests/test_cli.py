@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -182,6 +183,9 @@ def test_unbounded_inputs_capped(capsys, monkeypatch):
     assert code == 2 and not out and "capped at n = 2000" in err
     code, out, err = run_cli(capsys, "compute", "euler", "--n", "2001")
     assert code == 2 and not out and "capped at n = 2000" in err
+    for name in ("gamma", "gamma-star"):
+        code, out, err = run_cli(capsys, "compute", name, "--n", "3000")
+        assert code == 2 and not out and "capped at n = 700" in err, name
     # an over-cap scan exits 2 before any scan or any n-bit pattern mask
     calls = []
 
@@ -204,6 +208,18 @@ def test_unbounded_inputs_capped(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "scan", *argv)
         assert code == 2 and not out and message in err, argv
     assert calls == []
+
+
+def test_statistics_of_n_refused_at_once(capsys):
+    # each capped term is refused before any work that grows with n, such
+    # as the O(sqrt n) divisor list of the cycle counts
+    for name in cli._OF_N:
+        for argv in (("compute", name, "--n", str(10**18)),
+                     ("sequence", name, "--max-n", str(10**18))):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 1, argv
+            assert code == 2 and not out and "capped at n =" in err, argv
 
 
 def test_compute_beyond_digit_limit(capsys):

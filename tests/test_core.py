@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from descyc.core import (
+    CapacityError,
     Composition,
     CountTable,
     DescentSet,
     DomainError,
     alternation,
+    capped_sequence,
     composition_of,
     descent_gcd,
     divisors,
@@ -31,6 +34,31 @@ def test_mobius_divisor_sums():
     assert sum(mobius(d) for d in divisors(1)) == 1
     for n in range(2, 10001):
         assert sum(mobius(d) for d in divisors(n)) == 0, n
+
+
+def test_capped_sequence_builds_each_term_once():
+    stepped = []
+
+    @capped_sequence("squares", 20)
+    def squares(values):
+        """Squares, each from the one before."""
+        for m in itertools.count():
+            assert len(values) == m
+            stepped.append(m)
+            yield values[-1] + 2 * m - 1 if m else 0
+
+    assert squares.__doc__ == "Squares, each from the one before."
+    with pytest.raises(DomainError, match="squares needs n >= 0, got -1"):
+        squares(-1)
+    with pytest.raises(CapacityError, match="squares capped at n = 20, got 21"):
+        squares(21)
+    assert stepped == []
+    assert [squares(10), squares(3), squares(12)] == [100, 9, 144]
+    assert stepped == list(range(13))
+    # at or below the highest term built so far: the memo, no step
+    assert [squares(12), squares(0), squares(7)] == [144, 0, 49]
+    assert stepped == list(range(13))
+    assert squares(20) == 400 and stepped == list(range(21))
 
 
 def test_divisors():

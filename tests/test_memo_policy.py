@@ -1,0 +1,103 @@
+"""Every memo in the package is one of three kinds: a bounded
+``lru_cache(MEMO_SIZE)``, ``core.small_table_cache``, or a sequence under
+``core.capped_sequence``.  A ``global`` statement, a module-level container
+that a function grows, or an ``lru_cache`` of any other size fails here."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "descyc"
+
+# small_table_cache bounds its unbounded lru_cache by n itself.  ROADMAP
+# item 1 deletes linear._eulerian_row, the last unbounded memo; its entry
+# goes with it.
+ALLOWED = {("core.small_table_cache", "lru_cache"),
+           ("linear._eulerian_row", "lru_cache")}
+
+_MUTATORS = {"append", "extend", "insert", "update", "setdefault", "add"}
+
+
+def _memo_name(node: ast.AST):
+    """'lru_cache' or 'cache' for a reference to that functools memo."""
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+        name = node.attr
+    else:
+        name = getattr(node, "id", None)
+    return name if name in ("lru_cache", "cache") else None
+
+
+def _bounded(call) -> bool:
+    if call is None:
+        return False
+    sizes = [*call.args[:1], *(k.value for k in call.keywords if k.arg == "maxsize")]
+    return len(sizes) == 1 and getattr(sizes[0], "id", None) == "MEMO_SIZE"
+
+
+def _violations(src: Path = SRC) -> set[tuple[str, str]]:
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        containers = set()  # module-level names bound to a list, dict or set
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            if isinstance(node.value, (ast.List, ast.Dict, ast.Set)):
+                containers |= {t.id for t in targets if isinstance(t, ast.Name)}
+        calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        # the innermost function around each node; ast.walk reaches an
+        # outer function before the functions nested in it
+        owners = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for part in (*node.decorator_list, *node.body):
+                    for inner in ast.walk(part):
+                        owners[id(inner)] = f"{path.stem}.{node.name}"
+        for node in ast.walk(tree):
+            owner = owners.get(id(node), path.stem)
+            if isinstance(node, ast.Global):
+                found.add((owner, "global"))
+            elif _memo_name(node) and not _bounded(calls.get(id(node))):
+                found.add((owner, "lru_cache"))
+            elif (owner != path.stem and isinstance(node, ast.Attribute)
+                  and node.attr in _MUTATORS
+                  and getattr(node.value, "id", None) in containers):
+                found.add((owner, f"grows {node.value.id}"))
+    return found
+
+
+def test_memos_follow_one_policy():
+    assert _violations() == ALLOWED
+
+
+def test_policy_check_flags_ad_hoc_memos(tmp_path):
+    (tmp_path / "bad.py").write_text(
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "_values = [1]\n"
+        "_table: dict[int, int] = {}\n"
+        "def grow(n):\n"
+        "    global _values\n"
+        "    _values.append(n)\n"
+        "def fill(n):\n"
+        "    _table.setdefault(n, n)\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def unbounded(n):\n"
+        "    return n\n"
+        "@lru_cache\n"
+        "def default_size(n):\n"
+        "    return n\n"
+        "@functools.cache\n"
+        "def plain_cache(n):\n"
+        "    return n\n"
+        "@lru_cache(MEMO_SIZE)\n"
+        "def bounded(n):\n"
+        "    return n\n")
+    assert _violations(tmp_path) == {
+        ("bad.grow", "global"), ("bad.grow", "grows _values"),
+        ("bad.fill", "grows _table"),
+        ("bad.unbounded", "lru_cache"), ("bad.default_size", "lru_cache"),
+        ("bad.plain_cache", "lru_cache")}

@@ -7,6 +7,7 @@ from descyc.cyclic import beta_cyc_mask
 from descyc.linear import beta_mask
 from descyc.oracle import brute_pattern_profile
 from descyc.patterns import (
+    GAMMA_CAP,
     bounded_composition_masks,
     chi,
     chi_star,
@@ -44,6 +45,10 @@ def test_gamma_sequences():
         gamma(-1)
     with pytest.raises(DomainError):
         gamma_star(-1)
+    with pytest.raises(CapacityError):
+        gamma(GAMMA_CAP + 1)
+    with pytest.raises(CapacityError):
+        gamma_star(GAMMA_CAP + 1)
 
 
 def test_gamma_equals_beta_sums():
