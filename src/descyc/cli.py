@@ -233,10 +233,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _sequence_rows(name: str, max_n: int) -> list[tuple[int, ...]]:
     if name == "eulerian-cyc-row":
+        # the largest row's (max_n, max_n) fails here, before the first row
+        linear.check_power_sum("cyclic eulerian", max_n, max_n)
         return [
-            (n, k, cyclic.cyclic_eulerian(n, k))
+            (n, k, value)
             for n in range(1, max_n + 1)
-            for k in range(1, n + 1)
+            for k, value in enumerate(cyclic.cyclic_eulerian_row(n), 1)
         ]
     func = _OF_N[name]
     func(max_n)  # an over-cap max_n fails here, before the smaller rows

@@ -32,9 +32,12 @@ from .linear import (
     alpha_mask,
     beta_mask,
     beta_table,
-    eulerian,
+    check_power_sum,
     euler_zigzag,
     generalized_euler,
+    power_sum,
+    power_sum_row,
+    power_terms,
 )
 
 
@@ -121,23 +124,37 @@ def beta_cyc_table(n: int) -> list[Count]:
     return [_beta_cyc_value(total, n, mask) for mask, total in enumerate(totals)]
 
 
-def cyclic_eulerian(n: int, k: int) -> Count:
-    """n-cycles with exactly k-1 descents."""
-    if not 1 <= k <= n:
-        raise DomainError(f"cyclic eulerian index k={k} outside 1..{n}")
-    total = 0
-    for d, mu in _square_free_divisors(n):
-        nd = n // d
-        extra = n - nd
-        for j in range(1, min(k, nd) + 1):
-            if k - j > extra:
-                continue
-            sign = -1 if (k - j) & 1 else 1
-            total += mu * sign * math.comb(extra, k - j) * eulerian(nd, j)
+def _eulerian_powers(n: int, k: int) -> list[int]:
+    """sum over square-free d | n of mobius(d) * i**(n/d), for i = 1..k."""
+    return power_terms(k, [(mu, n // d) for d, mu in _square_free_divisors(n)])
+
+
+def _cyclic_eulerian_value(total: int, n: int, k: int) -> Count:
     value = exact_div(total, n, "cyclic_eulerian")
     if value < 0:
         raise InvariantViolation(f"cyclic_eulerian negative: n={n} k={k}")
     return value
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def cyclic_eulerian(n: int, k: int) -> Count:
+    """n-cycles with exactly k-1 descents.
+
+    Summing the main theorem over the descent sets of each size gives
+    n * c(n, k) as the sum over square-free d | n of mobius(d) times the
+    power sum with exponent n/d, the sum over i = 1..k of
+    (-1)**(k-i) * C(n+1, k-i) * i**(n/d).  Raises CapacityError when k * n
+    exceeds linear.POWER_SUM_CAP, before any power or divisor is computed.
+    """
+    check_power_sum("cyclic eulerian", n, k)
+    return _cyclic_eulerian_value(power_sum(n, _eulerian_powers(n, k)), n, k)
+
+
+def cyclic_eulerian_row(n: int) -> list[Count]:
+    """cyclic_eulerian(n, k) for k = 1..n, from one list of powers."""
+    check_power_sum("cyclic eulerian", n, n)
+    totals = power_sum_row(n, _eulerian_powers(n, n))
+    return [_cyclic_eulerian_value(total, n, k) for k, total in enumerate(totals, 1)]
 
 
 def alternating_cycles(n: int) -> Count:

@@ -10,11 +10,16 @@ cycle type and descent set.  Runs of ascents and descents depend only on
 the descent set, so the pattern profile is read from those tallies;
 brute_avoiders and enumerate_permutations still walk S_n one permutation
 at a time and stay as the references for both.
+
+The Eulerian rows, by number of descents, come from their classical
+recurrence rather than from enumeration, so they reach past S_10; the
+cycle rows sum the main theorem over the descent sets of each size.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -25,6 +30,9 @@ from .core import (
     CountTable,
     DescentSet,
     DomainError,
+    divisors,
+    exact_div,
+    mobius,
     small_table_cache,
 )
 
@@ -144,6 +152,48 @@ def brute_tables(
         CountTable(n, "beta_cyc", tuple(n_cycles)),
         MappingProxyType(typed),
     )
+
+
+def eulerian_rows(max_n: int) -> list[list[Count]]:
+    """rows[m][j] = permutations of m with exactly j descents, m = 0..max_n.
+
+    Built in one loop by the recurrence
+    A(m, j) = (j + 1) * A(m-1, j) + (m - j) * A(m-1, j-1): the new entry m
+    either lands at the end or inside a descent (keeping the count), or at
+    the front or inside an ascent (adding one).  It shares no code with the
+    power sums of linear.eulerian, which it checks.
+    """
+    rows = [[1]]
+    for m in range(1, max_n + 1):
+        prev = [*rows[-1], 0]
+        rows.append([(j + 1) * prev[j] + (m - j) * (prev[j - 1] if j else 0)
+                     for j in range(m)])
+    return rows
+
+
+def cyclic_eulerian_rows(max_n: int) -> list[list[Count]]:
+    """rows[n][j] = n-cycles of n with exactly j descents, n = 1..max_n.
+
+    Summing the main theorem over the descent sets of each size gives
+    n * c(n, k) = sum over d | n, j of mobius(d) * (-1)**(k-j)
+    * C(n - n/d, k - j) * A(n/d, j), read here from eulerian_rows.  The
+    entry at index 0 is an empty row.
+    """
+    eulerian = eulerian_rows(max_n)
+    rows: list[list[Count]] = [[]]
+    for n in range(1, max_n + 1):
+        row = [0] * n
+        for d in divisors(n):
+            mu = mobius(d)
+            if not mu:
+                continue
+            m = n // d
+            for k in range(n):
+                for j in range(max(0, k - (n - m)), min(k, m - 1) + 1):
+                    sign = -mu if (k - j) & 1 else mu
+                    row[k] += sign * math.comb(n - m, k - j) * eulerian[m][j]
+        rows.append([exact_div(total, n, "cyclic eulerian row") for total in row])
+    return rows
 
 
 def _has_run(perm: tuple[int, ...], k: int, descending: bool) -> bool:

@@ -9,8 +9,8 @@ on both ends) through signed divisor sums split by residue mod 3.
 
 from __future__ import annotations
 
-import itertools
 import math
+from operator import add
 from typing import Iterator
 
 from .core import (
@@ -48,16 +48,24 @@ def chi_star(r: int) -> int:
 
 
 # Largest n served by gamma and gamma_star: cold, each builds its terms up
-# to here in about 1.7 s on one core (to n = 800, 2.4 to 2.9 s).
+# to here in about 0.3 to 0.5 s on one core.
 GAMMA_CAP = 700
+
+
+def _pascal_rows():
+    """Yield the rows C(m, 0..m) for m = 1, 2, ..., each from the one before."""
+    row = [1]
+    while True:
+        row = [1, *map(add, row, row[1:]), 1]
+        yield row
 
 
 @capped_sequence("gamma", GAMMA_CAP)
 def gamma(values):
     """Permutations of n with no two adjacent ascents."""
     yield 1
-    for m in itertools.count(1):
-        yield sum(chi(r) * math.comb(m, r) * values[m - r]
+    for m, binom in enumerate(_pascal_rows(), 1):
+        yield sum(chi(r) * binom[r] * values[m - r]
                   for r in range(1, m + 1) if chi(r))
 
 
@@ -66,8 +74,8 @@ def gamma_star(values):
     """Permutations of n with no two adjacent descents that start and end
     with an ascent; 1 and 0 for n = 0 and 1 by convention."""
     yield 1
-    for m in itertools.count(1):  # the sum is empty at m = 1
-        yield sum((-1) ** r * chi_star(r) * math.comb(m, r) * values[m - r]
+    for m, binom in enumerate(_pascal_rows(), 1):  # the sum is empty at m = 1
+        yield sum((-1) ** r * chi_star(r) * binom[r] * values[m - r]
                   for r in range(2, m + 1) if chi_star(r))
 
 

@@ -205,19 +205,32 @@ def _check_complements(n: int):
     return True, ""
 
 
+def _size_rule(table, counts, oracle_row, total: int):
+    """A per-mask table summed over the masks of each size, the counts by
+    size from the power sums, and the oracle's row agree; they add up to
+    total."""
+    sizes = [0] * len(counts)
+    for mask, value in enumerate(table):
+        sizes[mask.bit_count()] += value
+    for k, count in enumerate(counts, 1):
+        if not (sizes[k - 1] == count == oracle_row[k - 1]):
+            return False, (f"k={k}: by-size sum {sizes[k - 1]}, power sum {count},"
+                           f" oracle row {oracle_row[k - 1]}")
+    return sum(sizes) == total, f"sum={sum(sizes)}, want {total}"
+
+
 @_check("cycle sum rules n={}")
 def _check_cycle_sum_rules(n: int):
-    total = sum(cyclic.beta_cyc_table(n))
-    rows = sum(cyclic.cyclic_eulerian(n, k) for k in range(1, n + 1))
-    expected = math.factorial(n - 1)
-    return (total == expected and rows == expected,
-            f"sum(beta_cyc)={total}, sum(C)={rows}, want {expected}")
+    counts = [cyclic.cyclic_eulerian(n, k) for k in range(1, n + 1)]
+    return _size_rule(cyclic.beta_cyc_table(n), counts,
+                      oracle.cyclic_eulerian_rows(n)[n], math.factorial(n - 1))
 
 
 @_check("beta sum rule n={}")
 def _check_beta_sum_rule(n: int):
-    total = sum(linear.beta_table(n))
-    return total == math.factorial(n), f"sum={total}"
+    counts = [linear.eulerian(n, k) for k in range(1, n + 1)]
+    return _size_rule(linear.beta_table(n), counts,
+                      oracle.eulerian_rows(n)[n], math.factorial(n))
 
 
 @_check("alternating cycles n={}")

@@ -186,6 +186,14 @@ def test_unbounded_inputs_capped(capsys, monkeypatch):
     for name in ("gamma", "gamma-star"):
         code, out, err = run_cli(capsys, "compute", name, "--n", "3000")
         assert code == 2 and not out and "capped at n = 700" in err, name
+    # the power sums are refused on k * n before any power or divisor
+    for argv in (("compute", "eulerian", "--n", str(10**18), "--k", "3"),
+                 ("compute", "eulerian-cyc", "--n", "20000", "--k", "10000"),
+                 ("sequence", "eulerian-cyc-row", "--max-n", "1000000")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2 and not out and "capped at k*n = 10000000" in err, argv
     # an over-cap scan exits 2 before any scan or any n-bit pattern mask
     calls = []
 

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from descyc import cyclic, linear
 from descyc.core import (
     TABLE_CACHE_MAX_N,
+    CapacityError,
     DescentSet,
     DomainError,
     divisors,
@@ -19,12 +21,20 @@ from descyc.cyclic import (
     beta_cyc_mask,
     beta_cyc_table,
     cyclic_eulerian,
+    cyclic_eulerian_row,
     kz_cycles,
     signed_divisor_sum,
     signed_divisor_table,
 )
-from descyc.linear import alpha_mask, beta_mask, beta_table, kz_mask
-from descyc.oracle import brute_tables
+from descyc.linear import (
+    POWER_SUM_CAP,
+    alpha_mask,
+    beta_mask,
+    beta_table,
+    eulerian,
+    kz_mask,
+)
+from descyc.oracle import brute_tables, cyclic_eulerian_rows, eulerian_rows
 
 
 def test_alpha_cyc_values():
@@ -96,6 +106,42 @@ def test_cyclic_eulerian_matches_descent_sums():
             by_size[mask.bit_count()] += table[mask]
         for k in range(1, n + 1):
             assert cyclic_eulerian(n, k) == by_size[k - 1]
+
+
+def test_power_sums_match_oracle_rows():
+    # every k at n <= 60: the power sums against the row recurrence and its
+    # by-size divisor sum, which share no code with them
+    linear_rows = eulerian_rows(60)
+    cycle_rows = cyclic_eulerian_rows(60)
+    for n in range(1, 61):
+        assert [eulerian(n, k) for k in range(1, n + 1)] == linear_rows[n]
+        assert [cyclic_eulerian(n, k) for k in range(1, n + 1)] == cycle_rows[n]
+        assert cyclic_eulerian_row(n) == cycle_rows[n]
+
+
+def test_power_sums_capped_before_any_power(monkeypatch):
+    calls = []
+
+    def record(name):
+        def refuse(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} called before the cap check")
+        return refuse
+
+    for module in (linear, cyclic):
+        monkeypatch.setattr(module, "power_terms", record("power_terms"))
+    monkeypatch.setattr(cyclic, "_square_free_divisors", record("divisors"))
+    for n, k in ((10**18, 3), (20000, 10000), (POWER_SUM_CAP // 3 + 1, 3)):
+        for count in (eulerian, cyclic_eulerian):
+            with pytest.raises(CapacityError, match="capped at k\\*n"):
+                count(n, k)
+    with pytest.raises(CapacityError):
+        cyclic_eulerian_row(4000)
+    assert calls == []
+    # at the cap itself the count is answered
+    monkeypatch.undo()
+    assert eulerian(POWER_SUM_CAP, 1) == 1
+    assert cyclic_eulerian(POWER_SUM_CAP // 2, 2) > 0
 
 
 def test_alternating_cycles():

@@ -8,11 +8,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "descyc"
 
-# small_table_cache bounds its unbounded lru_cache by n itself.  ROADMAP
-# item 1 deletes linear._eulerian_row, the last unbounded memo; its entry
-# goes with it.
-ALLOWED = {("core.small_table_cache", "lru_cache"),
-           ("linear._eulerian_row", "lru_cache")}
+# small_table_cache bounds its unbounded lru_cache by n itself.
+ALLOWED = {("core.small_table_cache", "lru_cache")}
 
 _MUTATORS = {"append", "extend", "insert", "update", "setdefault", "add"}
 

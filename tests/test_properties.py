@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from descyc import lyndon
 from descyc.core import MAX_N, DescentSet, composition_of, divisors, set_of
-from descyc.cyclic import beta_cyc_mask
-from descyc.linear import Strategy, beta_mask, multinomial
+from descyc.cyclic import beta_cyc_mask, cyclic_eulerian
+from descyc.linear import Strategy, beta_mask, eulerian, multinomial
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -61,6 +61,30 @@ def test_beta_top_bit_recurrence(case, data):
 @given(descent_sets())
 def test_beta_cyc_nonnegative(case):
     assert beta_cyc_mask(*case) >= 0
+
+
+@st.composite
+def sizes_and_indices(draw):
+    """(n, k) with 1 <= k <= n <= MAX_N."""
+    n = draw(st.integers(1, MAX_N))
+    return n, draw(st.integers(1, n))
+
+
+@PROPERTY
+@given(sizes_and_indices())
+def test_eulerian_from_cyclic_eulerian(case):
+    # the inverse theorem summed over the descent sets of each size:
+    # A(n, k) = sum over d | n, j of (n/d) * (-1)**(k-j) * C(n - n/d, k - j)
+    # * c(n/d, j), which ties the two power sums together at every n <= 64
+    n, k = case
+    total = 0
+    for d in divisors(n):
+        m = n // d
+        for j in range(max(1, k - (n - m)), min(k, m) + 1):
+            total += ((-1) ** (k - j) * m * math.comb(n - m, k - j)
+                      * cyclic_eulerian(m, j))
+    assert total == eulerian(n, k)
+    assert eulerian(n, k) == eulerian(n, n + 1 - k)
 
 
 @PROPERTY
