@@ -37,9 +37,9 @@ from .core import (
     alternation_mask,
     divisors,
     mask_elements,
+    square_free_divisors,
 )
 from .cyclic import (
-    _square_free_divisors,
     alpha_cyc_mask,
     signed_divisor_sum,
     signed_divisor_table,
@@ -221,7 +221,7 @@ def _better(a: Optional[_Candidate], b: Optional[_Candidate]) -> Optional[_Candi
 def _divisor_terms(n: int) -> list:
     # the d > 1 terms of the signed divisor sum
     return [(d, mu, beta_table(n // d).__getitem__)
-            for d, mu in _square_free_divisors(n) if d > 1]
+            for d, mu in square_free_divisors(n) if d > 1]
 
 
 def _exhaustive_scan(family: Family) -> ScanReport:

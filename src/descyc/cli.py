@@ -20,9 +20,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import asymptotics, cyclic, linear, lyndon, oracle, patterns, verify
-from .core import DescentSet, DomainError, csv_field
+from .core import CapacityError, DescentSet, DomainError, csv_field
 
 GOLDEN_DEFAULT_MAX_N = 6
+
+# Largest --max-n of `sequence eulerian-cyc-row`: its time grows about as
+# max_n**4, and at 300 the whole sequence takes about 1.8 s on one core.
+EULERIAN_CYC_ROW_CAP = 300
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -235,6 +239,9 @@ def _sequence_rows(name: str, max_n: int) -> list[tuple[int, ...]]:
     if name == "eulerian-cyc-row":
         # the largest row's (max_n, max_n) fails here, before the first row
         linear.check_power_sum("cyclic eulerian", max_n, max_n)
+        if max_n > EULERIAN_CYC_ROW_CAP:
+            raise CapacityError(
+                f"eulerian-cyc-row capped at n = {EULERIAN_CYC_ROW_CAP}, got {max_n}")
         return [
             (n, k, value)
             for n in range(1, max_n + 1)

@@ -25,6 +25,9 @@ MAX_N = 64
 # rebuilt on demand to keep memory bounded.
 TABLE_CACHE_MAX_N = 16
 
+# Entries kept by each bounded lru_cache memo.
+MEMO_SIZE = 1 << 20
+
 
 class DomainError(ValueError):
     """An argument is outside the domain of the requested operation."""
@@ -121,6 +124,21 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def square_free_divisors(n: int) -> tuple[tuple[int, int], ...]:
+    """(d, mobius(d)) for the divisors d of n with mobius(d) != 0, ascending."""
+    pairs = ((d, mobius(d)) for d in divisors(n))
+    return tuple((d, mu) for d, mu in pairs if mu)
+
+
+def mobius_sum(n: int, term) -> int:
+    """The sum of mobius(d) * term(d) over the divisors d of n."""
+    total = 0
+    for d, mu in square_free_divisors(n):
+        total += mu * term(d)
+    return total
 
 
 @dataclass(frozen=True)

@@ -16,19 +16,21 @@ from functools import lru_cache, partial
 from operator import mul, neg
 
 from .core import (
+    MEMO_SIZE,
+    CapacityError,
     Count,
     DescentSet,
     DomainError,
     InvariantViolation,
-    divisors,
     exact_div,
     mask_gcd,
-    mobius,
+    mobius_sum,
     quotient_mask,
     small_table_cache,
+    square_free_divisors,
 )
 from .linear import (
-    MEMO_SIZE,
+    GENERALIZED_EULER_CAP,
     alpha_mask,
     beta_mask,
     beta_table,
@@ -41,18 +43,11 @@ from .linear import (
 )
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _square_free_divisors(n: int) -> tuple[tuple[int, int], ...]:
-    """(d, mobius(d)) for the divisors of n that contribute to Moebius sums."""
-    pairs = ((d, mobius(d)) for d in divisors(n))
-    return tuple((d, mu) for d, mu in pairs if mu)
-
-
 def signed_divisor_sum(n: int, mask: int, terms) -> int:
     """The sum of c * (-1)**(|I| - |I/d|) * f(I/d) over (d, c, f) in terms,
     for I = mask at ambient n; f takes the quotient mask at n/d.
 
-    With one term (d, mobius(d), beta at n/d) per square-free divisor d of
+    With one term (d, mu(d), beta at n/d) per square-free divisor d of
     n the sum is n * beta_cyc(I), the forward form of the main theorem.
     """
     size = mask.bit_count()
@@ -86,17 +81,17 @@ def signed_divisor_table(n: int, terms) -> list[int]:
     return list(map(sum, zip(*columns)))
 
 
-def _beta_cyc_value(total: int, n: int, mask: int) -> Count:
-    value = exact_div(total, n, "beta_cyc")
+def _cycle_count(total: int, n: int, what: str) -> Count:
+    """total / n, which counts n-cycles: a remainder or a negative is a bug."""
+    value = exact_div(total, n, what)
     if value < 0:
-        raise InvariantViolation(f"beta_cyc negative: n={n} mask={mask:#x}")
+        raise InvariantViolation(f"{what} negative: {total} / {n}")
     return value
 
 
 def alpha_cyc_mask(n: int, mask: int) -> Count:
-    total = 0
-    for d, mu in _square_free_divisors(mask_gcd(n, mask)):
-        total += mu * alpha_mask(n // d, quotient_mask(mask, d, n))
+    total = mobius_sum(mask_gcd(n, mask), lambda d: (
+        alpha_mask(n // d, quotient_mask(mask, d, n))))
     return exact_div(total, n, "alpha_cyc")
 
 
@@ -106,8 +101,8 @@ def alpha_cyc(I: DescentSet) -> Count:
 
 
 def beta_cyc_mask(n: int, mask: int) -> Count:
-    terms = [(d, mu, partial(beta_mask, n // d)) for d, mu in _square_free_divisors(n)]
-    return _beta_cyc_value(signed_divisor_sum(n, mask, terms), n, mask)
+    terms = [(d, mu, partial(beta_mask, n // d)) for d, mu in square_free_divisors(n)]
+    return _cycle_count(signed_divisor_sum(n, mask, terms), n, "beta_cyc")
 
 
 def beta_cyc(I: DescentSet) -> Count:
@@ -119,21 +114,14 @@ def beta_cyc(I: DescentSet) -> Count:
 def beta_cyc_table(n: int) -> list[Count]:
     """beta_cyc for every mask of ambient n, indexed by mask."""
     terms = [(d, mu, beta_table(n // d).__getitem__)
-             for d, mu in _square_free_divisors(n)]
+             for d, mu in square_free_divisors(n)]
     totals = signed_divisor_table(n, terms)
-    return [_beta_cyc_value(total, n, mask) for mask, total in enumerate(totals)]
+    return [_cycle_count(total, n, "beta_cyc") for total in totals]
 
 
 def _eulerian_powers(n: int, k: int) -> list[int]:
-    """sum over square-free d | n of mobius(d) * i**(n/d), for i = 1..k."""
-    return power_terms(k, [(mu, n // d) for d, mu in _square_free_divisors(n)])
-
-
-def _cyclic_eulerian_value(total: int, n: int, k: int) -> Count:
-    value = exact_div(total, n, "cyclic_eulerian")
-    if value < 0:
-        raise InvariantViolation(f"cyclic_eulerian negative: n={n} k={k}")
-    return value
+    """sum over square-free d | n of mu(d) * i**(n/d), for i = 1..k."""
+    return power_terms(k, [(mu, n // d) for d, mu in square_free_divisors(n)])
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -141,20 +129,20 @@ def cyclic_eulerian(n: int, k: int) -> Count:
     """n-cycles with exactly k-1 descents.
 
     Summing the main theorem over the descent sets of each size gives
-    n * c(n, k) as the sum over square-free d | n of mobius(d) times the
+    n * c(n, k) as the sum over square-free d | n of mu(d) times the
     power sum with exponent n/d, the sum over i = 1..k of
     (-1)**(k-i) * C(n+1, k-i) * i**(n/d).  Raises CapacityError when k * n
     exceeds linear.POWER_SUM_CAP, before any power or divisor is computed.
     """
     check_power_sum("cyclic eulerian", n, k)
-    return _cyclic_eulerian_value(power_sum(n, _eulerian_powers(n, k)), n, k)
+    return _cycle_count(power_sum(n, _eulerian_powers(n, k)), n, "cyclic_eulerian")
 
 
 def cyclic_eulerian_row(n: int) -> list[Count]:
     """cyclic_eulerian(n, k) for k = 1..n, from one list of powers."""
     check_power_sum("cyclic eulerian", n, n)
     totals = power_sum_row(n, _eulerian_powers(n, n))
-    return [_cyclic_eulerian_value(total, n, k) for k, total in enumerate(totals, 1)]
+    return [_cycle_count(total, n, "cyclic_eulerian") for total in totals]
 
 
 def alternating_cycles(n: int) -> Count:
@@ -163,37 +151,20 @@ def alternating_cycles(n: int) -> Count:
         raise DomainError(f"alternating cycles needs n >= 1, got {n}")
     euler_zigzag(n)  # every branch reads E_n: refuses an over-cap n first
     if n % 2 == 1:
-        total = 0
-        for d, mu in _square_free_divisors(n):
-            sign = -1 if ((d - 1) // 2) & 1 else 1
-            total += mu * sign * euler_zigzag(n // d)
-        return exact_div(total, n, "alternating_cycles")
-    if n & (n - 1) == 0:
-        return exact_div(euler_zigzag(n) - 1, n, "alternating_cycles")
-    total = 0
-    for d, mu in _square_free_divisors(n):
-        if d % 2 == 1:
-            total += mu * euler_zigzag(n // d)
+        total = mobius_sum(n, lambda d: (
+            (-1 if (d - 1) // 2 & 1 else 1) * euler_zigzag(n // d)))
+    elif n & (n - 1) == 0:
+        total = euler_zigzag(n) - 1
+    else:
+        total = mobius_sum(n, lambda d: euler_zigzag(n // d) if d % 2 else 0)
     return exact_div(total, n, "alternating_cycles")
-
-
-def _kz_general(n: int, k: int) -> Count:
-    base = (n - 1) // k
-    total = 0
-    for d, mu in _square_free_divisors(n):
-        lcm = k * d // math.gcd(k, d)
-        sign = -1 if (base - (n - d) // lcm) & 1 else 1
-        total += mu * sign * generalized_euler(n // d, k // math.gcd(k, d))
-    return exact_div(total, n, "kz_cycles")
 
 
 def _kz_coprime(n: int, k: int) -> Count:
     """kz_cycles(n, k) when gcd(k, n) = 1."""
     base = (n - 1) // k
-    total = 0
-    for d, mu in _square_free_divisors(n):
-        sign = -1 if (base - (n - d) // (k * d)) & 1 else 1
-        total += mu * sign * generalized_euler(n // d, k)
+    total = mobius_sum(n, lambda d: (
+        (-1 if (base - (n - d) // (k * d)) & 1 else 1) * generalized_euler(n // d, k)))
     return exact_div(total, n, "kz_cycles coprime branch")
 
 
@@ -209,10 +180,8 @@ def _kz_odd_prime(n: int, p: int) -> Count:
     if m == 2:
         value = generalized_euler(n, p) + generalized_euler(n // 2, p) - 2
         return exact_div(value, n, "kz twice-prime-power branch")
-    total = 0
-    for d, mu in _square_free_divisors(m):
-        sign = -1 if (n * (d - 1) // d) & 1 else 1
-        total += mu * sign * generalized_euler(n // d, p)
+    total = mobius_sum(m, lambda d: (
+        (-1 if n * (d - 1) // d & 1 else 1) * generalized_euler(n // d, p)))
     return exact_div(total, n, "kz odd-prime branch")
 
 
@@ -221,8 +190,15 @@ def kz_cycles(n: int, k: int) -> Count:
 
     This is the general signed divisor sum.  The simplified coprime and
     odd-prime forms (_kz_coprime, _kz_odd_prime) hold only under their
-    hypotheses; the verify suite compares them with this one.
+    hypotheses; the verify suite compares them with this one.  Raises
+    CapacityError above linear.GENERALIZED_EULER_CAP, before the divisors of n.
     """
     if n < 1 or k < 1:
         raise DomainError(f"kz cycles needs n, k >= 1, got {n}, {k}")
-    return _kz_general(n, k)
+    if n > GENERALIZED_EULER_CAP:
+        raise CapacityError(f"kz cycles capped at n = {GENERALIZED_EULER_CAP}, got {n}")
+    base = (n - 1) // k
+    total = mobius_sum(n, lambda d: (
+        (-1 if (base - (n - d) // math.lcm(k, d)) & 1 else 1)
+        * generalized_euler(n // d, k // math.gcd(k, d))))
+    return exact_div(total, n, "kz_cycles")

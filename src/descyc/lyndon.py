@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import (
+    MEMO_SIZE,
     CapacityError,
     Count,
     DescentSet,
@@ -43,9 +44,9 @@ from .core import (
     divisors,
     exact_div,
     mask_elements,
-    mobius,
+    mobius_sum,
 )
-from .linear import MEMO_SIZE, multinomial
+from .linear import multinomial
 
 Word = tuple[int, ...]
 
@@ -148,19 +149,24 @@ def _normalize_evaluation(mu: Sequence[int]) -> tuple[int, ...]:
     return ev
 
 
+# Largest n served by count_lyndon.  The slowest evaluation is all ones,
+# whose d = 1 term is n!: at n = 50000 it takes about 1.6 s on one core,
+# printing included, and the time grows faster than the square of n.
+LYNDON_CAP = 50000
+
+
 def count_lyndon(n: int, mu: Sequence[int]) -> Count:
-    """Lyndon words of length n with evaluation mu."""
+    """Lyndon words of length n with evaluation mu.
+
+    Raises CapacityError above LYNDON_CAP, before the divisors of the gcd.
+    """
     ev = _normalize_evaluation(mu)
     if sum(ev) != n or n < 1:
         raise DomainError(f"evaluation {tuple(mu)} does not sum to {n}")
-    g = 0
-    for m in ev:
-        g = math.gcd(g, m)
-    total = 0
-    for d in divisors(g):
-        mu_d = mobius(d)
-        if mu_d:
-            total += mu_d * multinomial(n // d, (m // d for m in ev if m))
+    if n > LYNDON_CAP:
+        raise CapacityError(f"Lyndon counts capped at n = {LYNDON_CAP}, got {n}")
+    total = mobius_sum(math.gcd(*ev), lambda d: (
+        multinomial(n // d, (m // d for m in ev if m))))
     return exact_div(total, n, "count_lyndon")
 
 

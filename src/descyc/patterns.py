@@ -21,6 +21,7 @@ from .core import (
     divisors,
     exact_div,
     mobius,
+    mobius_sum,
 )
 from .cyclic import beta_cyc_mask
 from .linear import beta_mask
@@ -111,17 +112,11 @@ def cycles_avoiding_incr3(n: int) -> Count:
     """n-cycles with no two adjacent ascents."""
     if n < 1:
         raise DomainError(f"needs n >= 1, got {n}")
-    gamma(n)  # the d = 1 term: refuses an over-cap n before divisors(n)
-    total = theta(n)
-    for d in divisors(n):
-        mu = mobius(d)
-        if not mu:
-            continue
-        if d % 3 == 1:
-            total += mu * gamma(n // d)
-        elif d % 3 == 2:
-            sign = -1 if (n // d) & 1 else 1
-            total += mu * sign * gamma_star(n // d)
+    gamma(n)  # the d = 1 term: refuses an over-cap n before the divisors of n
+    total = theta(n) + mobius_sum(n, lambda d: (
+        gamma(n // d) if d % 3 == 1
+        else (-1 if n // d & 1 else 1) * gamma_star(n // d) if d % 3 == 2
+        else 0))
     return exact_div(total, n, "cycles_avoiding_incr3")
 
 
@@ -129,18 +124,12 @@ def cycles_avoiding_decr3(n: int) -> Count:
     """n-cycles with no two adjacent descents."""
     if n < 1:
         raise DomainError(f"needs n >= 1, got {n}")
-    gamma(n)  # the d = 1 term: refuses an over-cap n before divisors(n)
-    total = theta_tilde(n)
+    gamma(n)  # the d = 1 term: refuses an over-cap n before the divisors of n
     outer_sign = -1 if n & 1 else 1
-    for d in divisors(n):
-        mu = mobius(d)
-        if not mu:
-            continue
-        if d % 3 == 1:
-            sign = -1 if ((d - 1) * (n // d)) & 1 else 1
-            total += mu * sign * gamma(n // d)
-        elif d % 3 == 2:
-            total += outer_sign * mu * gamma_star(n // d)
+    total = theta_tilde(n) + mobius_sum(n, lambda d: (
+        (-1 if (d - 1) * (n // d) & 1 else 1) * gamma(n // d) if d % 3 == 1
+        else outer_sign * gamma_star(n // d) if d % 3 == 2
+        else 0))
     return exact_div(total, n, "cycles_avoiding_decr3")
 
 

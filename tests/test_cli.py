@@ -230,6 +230,70 @@ def test_statistics_of_n_refused_at_once(capsys):
             assert code == 2 and not out and "capped at n =" in err, argv
 
 
+BIG = str(10**18)
+# One over-cap argv per statistic and per sequence.  A name that has no row
+# here fails test_every_name_refuses_hostile_input.
+HOSTILE = {
+    ("compute", "alpha"): ("--n", BIG),
+    ("compute", "beta"): ("--n", BIG),
+    ("compute", "alpha-cyc"): ("--n", BIG),
+    ("compute", "beta-cyc"): ("--n", BIG),
+    ("compute", "eulerian"): ("--n", BIG, "--k", "3"),
+    ("compute", "eulerian-cyc"): ("--n", BIG, "--k", "3"),
+    ("compute", "euler"): ("--n", BIG),
+    ("compute", "euler-k"): ("--n", BIG, "--k", "3"),
+    ("compute", "alt-cycles"): ("--n", BIG),
+    ("compute", "kz-cycles"): ("--n", BIG, "--k", "3"),
+    ("compute", "gamma"): ("--n", BIG),
+    ("compute", "gamma-star"): ("--n", BIG),
+    ("compute", "cycles-avoid-123"): ("--n", BIG),
+    ("compute", "cycles-avoid-321"): ("--n", BIG),
+    ("compute", "lyndon-count"): ("--n", BIG, "--evaluation", BIG),
+    ("compute", "type-descent-count"): ("--type", BIG),
+    ("sequence", "alt-cycles"): ("--max-n", BIG),
+    ("sequence", "cycles-avoid-123"): ("--max-n", BIG),
+    ("sequence", "cycles-avoid-321"): ("--max-n", BIG),
+    ("sequence", "gamma"): ("--max-n", BIG),
+    ("sequence", "gamma-star"): ("--max-n", BIG),
+    ("sequence", "euler"): ("--max-n", BIG),
+    ("sequence", "eulerian-cyc-row"): ("--max-n", BIG),
+}
+
+
+def test_every_name_refuses_hostile_input(capsys):
+    # every input is answered or refused in bounded time: here, refused
+    assert set(HOSTILE) == ({("compute", name) for name in cli.STATISTICS}
+                            | {("sequence", name) for name in cli.SEQUENCES})
+    for (command, name), flags in HOSTILE.items():
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, name, *flags)
+        assert time.perf_counter() - start < 1, (command, name)
+        assert code == 2 and not out and err.startswith("error: "), (command, name)
+
+
+def test_new_caps_answer_at_the_cap(capsys):
+    # over each cap the input is refused; at the cap it is still answered
+    for argv, message in [
+        (("compute", "euler-k", "--n", "2001", "--k", "2001"),
+         "generalized zigzag capped at n = 2000, got 2001"),
+        (("compute", "kz-cycles", "--n", "2001", "--k", "2001"),
+         "kz cycles capped at n = 2000, got 2001"),
+        (("compute", "lyndon-count", "--n", "50001", "--evaluation", "25001,25000"),
+         "Lyndon counts capped at n = 50000, got 50001"),
+        (("sequence", "eulerian-cyc-row", "--max-n", "301"),
+         "eulerian-cyc-row capped at n = 300, got 301"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+    for argv, expected in [
+        (("compute", "euler-k", "--n", "2000", "--k", "2000"), "1"),
+        (("compute", "kz-cycles", "--n", "2000", "--k", "2000"), "0"),
+        (("compute", "lyndon-count", "--n", "50000", "--evaluation", "50000"), "0"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out.strip()) == (0, expected), (argv, err)
+
+
 def test_compute_beyond_digit_limit(capsys):
     code, plain, _ = run_cli(capsys, "compute", "eulerian-cyc", "--n", "3000",
                              "--k", "1500")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -15,7 +16,9 @@ from descyc.core import (
     descent_gcd,
     divisors,
     mobius,
+    mobius_sum,
     set_of,
+    square_free_divisors,
     subset_quotient,
 )
 
@@ -34,6 +37,16 @@ def test_mobius_divisor_sums():
     assert sum(mobius(d) for d in divisors(1)) == 1
     for n in range(2, 10001):
         assert sum(mobius(d) for d in divisors(n)) == 0, n
+
+
+def test_mobius_sum():
+    for n in range(1, 501):
+        assert square_free_divisors(n) == tuple(
+            (d, mobius(d)) for d in divisors(n) if mobius(d))
+        assert mobius_sum(n, lambda d: 1) == (n == 1)
+        # Euler's totient, counted directly
+        totient = sum(1 for i in range(1, n + 1) if math.gcd(i, n) == 1)
+        assert mobius_sum(n, lambda d: n // d) == totient, n
 
 
 def test_capped_sequence_builds_each_term_once():

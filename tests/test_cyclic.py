@@ -130,7 +130,7 @@ def test_power_sums_capped_before_any_power(monkeypatch):
 
     for module in (linear, cyclic):
         monkeypatch.setattr(module, "power_terms", record("power_terms"))
-    monkeypatch.setattr(cyclic, "_square_free_divisors", record("divisors"))
+    monkeypatch.setattr(cyclic, "square_free_divisors", record("divisors"))
     for n, k in ((10**18, 3), (20000, 10000), (POWER_SUM_CAP // 3 + 1, 3)):
         for count in (eulerian, cyclic_eulerian):
             with pytest.raises(CapacityError, match="capped at k\\*n"):
