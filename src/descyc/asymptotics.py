@@ -50,6 +50,10 @@ SCAN_CAP = 24
 # Largest n of an all-proper family: at n = 32 its scan takes about 5 s and
 # 20 MB on one core.  Every other family stays at SCAN_CAP.
 ALL_PROPER_SCAN_CAP = 32
+# Largest denominator of an alt-threshold epsilon: the exact threshold test
+# raises to that power, and at n = SCAN_CAP with epsilon = 49999/100000 the
+# family's member count takes about 0.1 s on one core (0.33 s at 200000).
+EPSILON_DENOMINATOR_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,10 @@ class Family:
             raise DomainError(f"epsilon must be in (0, 1/2), got {epsilon}")
         if n < 1:
             raise DomainError(f"needs n >= 1, got {n}")
+        if epsilon.denominator > EPSILON_DENOMINATOR_CAP:
+            raise CapacityError(
+                f"alt-threshold epsilon denominator capped at {EPSILON_DENOMINATOR_CAP},"
+                f" got {epsilon.denominator}")
         return cls(n, "alt-threshold", epsilon=epsilon)
 
     def describe(self) -> str:

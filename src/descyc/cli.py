@@ -151,7 +151,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("status,label,witness")
         for r in report.results:
             status = "PASS" if r.ok else "FAIL"
-            print(f"{status},{r.label},{r.witness}")
+            print(f"{status},{csv_field(r.label)},{csv_field(r.witness)}")
     else:
         for r in report.results:
             tail = f"  ({r.witness})" if r.witness else ""
@@ -217,7 +217,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             header += ",elapsed_ms"
         print(header)
         for r in reports:
-            row = (f"{r.n},{r.family},{r.max_deviation.numerator},"
+            row = (f"{r.n},{csv_field(r.family)},{r.max_deviation.numerator},"
                    f"{r.max_deviation.denominator},{csv_field(r.argmax.to_text())},"
                    f"{r.member_count}")
             if args.timing:

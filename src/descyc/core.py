@@ -330,8 +330,11 @@ def alternation(I: DescentSet) -> tuple[tuple[int, ...], int]:
 
 
 def csv_field(text: str) -> str:
-    """Quote a CSV field exactly when it contains a comma."""
-    return f'"{text}"' if "," in text else text
+    """Quote a CSV field exactly when it contains a comma, a double quote or
+    a line break, doubling each double quote inside (RFC 4180)."""
+    if not any(c in text for c in ',"\n\r'):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 @dataclass(frozen=True)

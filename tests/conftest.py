@@ -1,16 +1,5 @@
-import pytest
-
-from descyc import oracle
-
-
-@pytest.fixture(scope="session")
-def word_tallies():
-    """Memoized brute-force word tallies keyed by (length, alphabet)."""
-    cache = {}
-
-    def get(n, q):
-        if (n, q) not in cache:
-            cache[n, q] = oracle.brute_words(n, q)
-        return cache[n, q]
-
-    return get
+def assert_passed(results):
+    """Assert that a list of `verify` check results is nonempty and that
+    every check passed; a failure names each failed check and its witness."""
+    failures = [r for r in results if not r.ok]
+    assert results and not failures, failures

@@ -9,6 +9,7 @@ failure raises with a witness.
 import json
 import time
 
+from conftest import assert_passed
 from descyc import asymptotics, cli, patterns, verify
 
 
@@ -16,14 +17,9 @@ def _record(line):
     print(line)
 
 
-def _assert_passed(results):
-    failures = [r for r in results if not r.ok]
-    assert results and not failures, failures
-
-
 def test_criterion_1_oracle_gate():
     start = time.monotonic()
-    _assert_passed(verify.suite_oracle(9))
+    assert_passed(verify.suite_oracle(9))
     elapsed = time.monotonic() - start
     assert elapsed < 180, f"oracle gate took {elapsed:.0f}s"
     _record(f"PASS criterion 1: oracle gate n<=9 ({elapsed:.1f}s)")
@@ -31,7 +27,7 @@ def test_criterion_1_oracle_gate():
 
 def test_criterion_2_main_theorem_closure():
     start = time.monotonic()
-    _assert_passed(verify.suite_inversions(12))
+    assert_passed(verify.suite_inversions(12))
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"closure took {elapsed:.0f}s"
     _record(f"PASS criterion 2: four-identity closure n<=12 ({elapsed:.1f}s)")
@@ -39,7 +35,7 @@ def test_criterion_2_main_theorem_closure():
 
 def test_criterion_3_corollary_suite():
     start = time.monotonic()
-    _assert_passed(
+    assert_passed(
         [verify._check_prefix_identity(n) for n in range(2, 15)]
         + [verify._check_gcd_shortcuts(n) for n in range(1, 15)]
         + [verify._check_complements(n) for n in range(1, 13)])
@@ -50,7 +46,7 @@ def test_criterion_3_corollary_suite():
 
 def test_criterion_4_sum_rules():
     start = time.monotonic()
-    _assert_passed(
+    assert_passed(
         [verify._check_cycle_sum_rules(n) for n in range(1, 15)]
         + [verify._check_beta_sum_rule(n) for n in range(1, 13)])
     elapsed = time.monotonic() - start
@@ -60,7 +56,7 @@ def test_criterion_4_sum_rules():
 
 def test_criterion_5_special_descent_sets():
     start = time.monotonic()
-    _assert_passed(
+    assert_passed(
         [verify._check_alternating_cycles(n) for n in range(1, 19)]
         + [verify._check_kz_cycles(18), verify._check_spot_values()])
     elapsed = time.monotonic() - start
@@ -70,7 +66,7 @@ def test_criterion_5_special_descent_sets():
 
 def test_criterion_6_word_counts():
     start = time.monotonic()
-    _assert_passed(
+    assert_passed(
         [verify._check_word_counts(n) for n in range(1, 9)]
         + [verify._check_type_sums(n) for n in range(1, 9)])
     elapsed = time.monotonic() - start
@@ -85,7 +81,7 @@ def test_criterion_7_pattern_suite():
     assert patterns.gamma_star(5) == 19
     assert patterns.cycles_avoiding_incr3(4) == 4
     assert patterns.cycles_avoiding_decr3(4) == 4
-    _assert_passed(verify.suite_patterns(21))
+    assert_passed(verify.suite_patterns(21))
     elapsed = time.monotonic() - start
     assert elapsed < 180, f"pattern suite took {elapsed:.0f}s"
     _record(f"PASS criterion 7: pattern suite ({elapsed:.1f}s)")
@@ -93,7 +89,7 @@ def test_criterion_7_pattern_suite():
 
 def test_criterion_8_asymptotic_properties():
     start = time.monotonic()
-    _assert_passed(verify.suite_bounds(18))
+    assert_passed(verify.suite_bounds(18))
     scan_start = time.monotonic()
     reports = [
         asymptotics.beta_deviation_scan(

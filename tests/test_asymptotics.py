@@ -1,10 +1,13 @@
 import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from descyc.asymptotics import (
     ALL_PROPER_SCAN_CAP,
+    EPSILON_DENOMINATOR_CAP,
     SCAN_CAP,
     Family,
     _exhaustive_scan,
@@ -196,6 +199,24 @@ def test_almost_all_fraction_examples():
         almost_all_fraction(8, Fraction(1, 2))
     with pytest.raises(DomainError):
         almost_all_fraction(8, Fraction(-1, 4))
+
+
+def test_epsilon_denominator_capped_before_any_power():
+    # the threshold test raises to the power of epsilon's denominator
+    for eps in (Fraction(1, EPSILON_DENOMINATOR_CAP + 1), Fraction(1, 10**9),
+                Fraction("1e-400"), Fraction(49999999, 10**8)):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="denominator capped at 100000,"):
+            almost_all_fraction(SCAN_CAP, eps)
+        assert time.perf_counter() - start < 1, eps
+    # at the cap: 24**0.50001 is about 4.899, so the threshold is near 7.1
+    # and a member's alternation number is at least 8.  Each of the 2**22
+    # alternation masks on n - 2 = 22 bits comes from two descent sets.
+    start = time.perf_counter()
+    value = almost_all_fraction(SCAN_CAP, Fraction(49999, EPSILON_DENOMINATOR_CAP))
+    assert time.perf_counter() - start < 1
+    assert value == Fraction(sum(math.comb(22, j) for j in range(8, 23)), 1 << 22)
+    assert value == Fraction(489213, 524288)
 
 
 def _clears_threshold(alt, n, eps):

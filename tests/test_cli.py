@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import time
 from pathlib import Path
@@ -212,8 +213,18 @@ def test_unbounded_inputs_capped(capsys, monkeypatch):
          "all-proper scan capped at n = 32"),
         (("--family", "alt-threshold:0.25", "--n-range", "1:1000000000000"),
          "alt-threshold:1/4 scan capped at n = 24"),
+        (("--family", "alt-threshold:1/100001", "--n", "12"),
+         "denominator capped at 100000, got 100001"),
+        (("--family", "alt-threshold:1/1000000000", "--n", "24"),
+         "denominator capped at 100000, got 1000000000"),
+        (("--family", "alt-threshold:1e-400", "--n", "12"),
+         "denominator capped at 100000, got 1" + "0" * 400),
+        (("--family", "alt-threshold:49999999/100000000", "--n", "12"),
+         "denominator capped at 100000, got 100000000"),
     ]:
+        start = time.perf_counter()
         code, out, err = run_cli(capsys, "scan", *argv)
+        assert time.perf_counter() - start < 1, argv
         assert code == 2 and not out and message in err, argv
     assert calls == []
 
@@ -347,6 +358,36 @@ def test_verify_reports_violations_as_failures(capsys, monkeypatch):
     assert failed == 19
     assert out.splitlines()[-1] == (
         f"{len(lines) - failed}/{len(lines)} checks passed")
+
+
+def _csv_rows(text):
+    rows = list(csv.reader(text.splitlines()))
+    assert rows and all(len(row) == len(rows[0]) for row in rows), rows
+    return rows
+
+
+def test_csv_rows_keep_the_header_width(capsys, monkeypatch):
+    # a family with several residues and a witness with a comma and a
+    # double quote are each one field
+    code, out, _ = run_cli(capsys, "scan", "--family", "periodic:3:1,2",
+                           "--n-range", "9:11", "--format", "csv")
+    assert code == 0
+    rows = _csv_rows(out)
+    assert [row[1] for row in rows[1:]] == ["periodic:3:1,2"] * 3
+    assert rows[1][4] == "1,2,4,5,7,8"
+
+    def violated(n):
+        raise InvariantViolation(f'planted "here", at n={n}')
+
+    monkeypatch.setattr(cyclic, "alternating_cycles", violated)
+    code, out, _ = run_cli(capsys, "verify", "corollaries", "--max-n", "9",
+                           "--format", "csv")
+    assert code == 1
+    rows = _csv_rows(out)
+    assert rows[0] == ["status", "label", "witness"]
+    failed = [row for row in rows[1:] if row[0] == "FAIL"]
+    assert ["FAIL", "alternating cycles n=9", 'planted "here", at n=9'] in failed
+    assert len(failed) == 10
 
 
 def test_verify_commands(capsys):

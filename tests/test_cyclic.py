@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from descyc import cyclic, linear
+from conftest import assert_passed
+from descyc import cyclic, linear, verify
 from descyc.core import (
     TABLE_CACHE_MAX_N,
     CapacityError,
@@ -15,7 +16,6 @@ from descyc.core import (
 )
 from descyc.cyclic import (
     alpha_cyc,
-    alpha_cyc_mask,
     alternating_cycles,
     beta_cyc,
     beta_cyc_mask,
@@ -28,13 +28,12 @@ from descyc.cyclic import (
 )
 from descyc.linear import (
     POWER_SUM_CAP,
-    alpha_mask,
     beta_mask,
     beta_table,
     eulerian,
     kz_mask,
 )
-from descyc.oracle import brute_tables, cyclic_eulerian_rows, eulerian_rows
+from descyc.oracle import cyclic_eulerian_rows, eulerian_rows
 
 
 def test_alpha_cyc_values():
@@ -57,32 +56,11 @@ def test_beta_cyc_values():
 
 
 def test_tables_match_oracle():
-    for n in range(1, 9):
-        b_table, bc_table, _ = brute_tables(n)
-        assert beta_cyc_table(n) == list(bc_table.counts)
-        for mask in range(1 << (n - 1)):
-            sub, a_sum, ac_sum = mask, 0, 0
-            while True:
-                a_sum += b_table.counts[sub]
-                ac_sum += bc_table.counts[sub]
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            assert alpha_mask(n, mask) == a_sum
-            assert alpha_cyc_mask(n, mask) == ac_sum
+    assert_passed([verify._check_oracle(n) for n in range(1, 9)])
 
 
 def test_alpha_cyc_is_subset_sum_of_beta_cyc():
-    for n in range(1, 11):
-        table = beta_cyc_table(n)
-        for mask in range(1 << (n - 1)):
-            sub, acc = mask, 0
-            while True:
-                acc += table[sub]
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            assert acc == alpha_cyc_mask(n, mask)
+    assert_passed([verify._check_alpha_cyc_subset_sums(n) for n in range(1, 11)])
 
 
 def test_cyclic_eulerian():
@@ -99,13 +77,7 @@ def test_cyclic_eulerian():
 
 
 def test_cyclic_eulerian_matches_descent_sums():
-    for n in range(1, 13):
-        table = beta_cyc_table(n)
-        by_size = [0] * n
-        for mask in range(1 << (n - 1)):
-            by_size[mask.bit_count()] += table[mask]
-        for k in range(1, n + 1):
-            assert cyclic_eulerian(n, k) == by_size[k - 1]
+    assert_passed([verify._check_cycle_sum_rules(n) for n in range(1, 13)])
 
 
 def test_power_sums_match_oracle_rows():
@@ -148,17 +120,14 @@ def test_alternating_cycles():
     assert alternating_cycles(1) == 1
     assert alternating_cycles(4) == 1
     assert alternating_cycles(8) == 173
-    for n in range(1, 19):
-        assert alternating_cycles(n) == beta_cyc_mask(n, kz_mask(n, 2)), n
+    assert_passed([verify._check_alternating_cycles(n) for n in range(1, 19)])
 
 
 def test_kz_cycles():
     assert kz_cycles(5, 3) == 2
     assert kz_cycles(6, 3) == 3
+    assert_passed([verify._check_kz_cycles(18)])
     for n in range(1, 19):
-        for k in range(1, 6):
-            expected = beta_cyc_mask(n, kz_mask(n, k))
-            assert kz_cycles(n, k) == expected, (n, k)
         # pattern longer than the word: the empty descent set
         assert kz_cycles(n, n + 1) == (1 if n == 1 else 0)
     with pytest.raises(DomainError):
@@ -166,13 +135,8 @@ def test_kz_cycles():
 
 
 def test_complement_equality_off_two_mod_four():
-    for n in range(1, 13):
-        if n % 4 == 2:
-            continue
-        table = beta_cyc_table(n)
-        full = (1 << (n - 1)) - 1
-        for mask in range(1 << (n - 1)):
-            assert table[mask] == table[full ^ mask], (n, mask)
+    assert_passed([verify._check_complements(n) for n in range(1, 13)
+                   if n % 4 != 2])
 
 
 def test_divisor_sum_definitions_directly():

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from conftest import assert_passed
+from descyc import verify
 from descyc.core import TABLE_CACHE_MAX_N, CapacityError, DescentSet, DomainError
 from descyc.linear import (
     ZIGZAG_CAP,
@@ -20,7 +22,6 @@ from descyc.linear import (
     kz_set,
     multinomial,
 )
-from descyc.oracle import brute_tables
 
 ZIGZAG = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
 
@@ -87,9 +88,7 @@ def test_beta_reversal_symmetry():
 
 
 def test_beta_matches_oracle():
-    for n in range(1, 9):
-        b_table, _, _ = brute_tables(n)
-        assert beta_table(n) == list(b_table.counts)
+    assert_passed([verify._check_oracle(n) for n in range(1, 9)])
 
 
 def test_eulerian():
@@ -105,13 +104,7 @@ def test_eulerian():
 
 
 def test_eulerian_matches_descent_sums():
-    for n in range(1, 11):
-        table = beta_table(n)
-        by_size = [0] * n
-        for mask in range(1 << (n - 1)):
-            by_size[mask.bit_count()] += table[mask]
-        for k in range(1, n + 1):
-            assert eulerian(n, k) == by_size[k - 1]
+    assert_passed([verify._check_beta_sum_rule(n) for n in range(1, 11)])
 
 
 def test_euler_zigzag():
@@ -140,11 +133,6 @@ def test_generalized_euler():
 
 
 def test_staircase_pair_identity():
-    # beta({2,...,2i-2}) + beta({2,...,2i}) = C(n,2i) * zigzag(2i)
-    for n in range(2, 15):
-        table = beta_table(n)
-        for i in range(1, (n - 1) // 2 + 1):
-            lo = sum(1 << (2 * j - 1) for j in range(1, i))
-            hi = lo | 1 << (2 * i - 1)
-            assert (table[lo] + table[hi]
-                    == math.comb(n, 2 * i) * euler_zigzag(2 * i)), (n, i)
+    # beta({2,...,2i-2}) + beta({2,...,2i}) = C(n,2i) * zigzag(2i), among
+    # the inequality sweep's lines
+    assert_passed([verify._check_inequalities(n) for n in range(2, 15)])

@@ -1,10 +1,10 @@
 import itertools
-import random
 
 import pytest
 
-from descyc import lyndon
-from descyc.core import CapacityError, DescentSet, DomainError, divisors, mobius
+from conftest import assert_passed
+from descyc import lyndon, verify
+from descyc.core import CapacityError, DescentSet, DomainError
 from descyc.cyclic import alpha_cyc_mask, beta_cyc_mask, beta_cyc_table
 from descyc.linear import beta_table
 from descyc.lyndon import (
@@ -22,7 +22,6 @@ from descyc.lyndon import (
 from descyc.oracle import (
     brute_tables,
     is_lyndon_slow,
-    is_primitive_slow,
     slow_factorization,
 )
 
@@ -61,19 +60,8 @@ def test_factorization_against_slow_route():
 
 
 def test_factorization_laws_up_to_length_ten():
-    rng = random.Random(11)
-    for length in range(1, 11):
-        if length <= 8:
-            words = itertools.product((1, 2, 3), repeat=length)
-        else:
-            words = (tuple(rng.randrange(1, 4) for _ in range(length))
-                     for _ in range(4000))
-        for word in words:
-            factors = lyndon_factorize(word)
-            assert sum(factors, ()) == word
-            assert all(is_lyndon_slow(f) for f in factors)
-            assert all(factors[i] >= factors[i + 1]
-                       for i in range(len(factors) - 1))
+    assert_passed([verify._check_factorization_laws(length)
+                   for length in range(1, 11)])
 
 
 def test_count_lyndon():
@@ -89,15 +77,7 @@ def test_count_lyndon():
 
 
 def test_primitive_words_are_n_times_lyndon_words():
-    for n in range(1, 11):
-        for q in (1, 2, 3):
-            primitive = 0
-            lyndon_count = 0
-            for word in itertools.product(range(1, q + 1), repeat=n):
-                if is_primitive_slow(word):
-                    primitive += 1
-                    lyndon_count += is_lyndon_slow(word)
-            assert primitive == n * lyndon_count, (n, q)
+    assert_passed([verify._check_primitive_words(n) for n in range(1, 11)])
 
 
 def test_count_lyndon_matches_direct_enumeration():
@@ -113,17 +93,10 @@ def test_count_lyndon_matches_direct_enumeration():
 
 
 def test_necklace_totals():
-    for n in range(1, 13):
-        for q in (1, 2, 3, 4):
-            total = sum(
-                count_lyndon(n, ev)
-                for ev in itertools.product(range(n + 1), repeat=q)
-                if sum(ev) == n)
-            necklace = sum(mobius(d) * q ** (n // d) for d in divisors(n)) // n
-            assert total == necklace, (n, q)
+    assert_passed([verify._check_necklace_totals(n) for n in range(1, 13)])
 
 
-def test_count_words_by_type_examples(word_tallies):
+def test_count_words_by_type_examples():
     assert count_words_by_type(Partition((1, 1, 1)), (2, 1)) == 1
     assert count_words_by_type(Partition((2, 1)), (2, 1)) == 1
     assert count_words_by_type(Partition((3,)), (1, 2)) == 1
@@ -136,17 +109,8 @@ def test_count_words_by_type_examples(word_tallies):
         count_words_by_type(Partition((2, 1)), (1, 1))
 
 
-def test_count_words_by_type_matches_oracle(word_tallies):
-    for n in range(1, 9):
-        for q in (1, 2, 3):
-            tally = word_tallies(n, q)
-            for lam in partitions_of(n):
-                for ev in itertools.product(range(n + 1), repeat=q):
-                    if sum(ev) != n:
-                        continue
-                    expected = tally.get((lam.parts, ev), 0)
-                    assert count_words_by_type(lam, ev) == expected, (
-                        n, q, lam.parts, ev)
+def test_count_words_by_type_matches_oracle():
+    assert_passed([verify._check_word_counts(n) for n in range(1, 9)])
 
 
 def test_count_by_type_and_descents():
