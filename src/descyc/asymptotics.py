@@ -38,6 +38,7 @@ from .core import (
     divisors,
     mask_elements,
     square_free_divisors,
+    submasks,
 )
 from .cyclic import (
     alpha_cyc_mask,
@@ -326,14 +327,8 @@ def _shared_prime_masks(n: int) -> list[int]:
     # masks supported on multiples of a prime divisor of n (every d > 1
     # dividing n has one, so walking all such d gives the same set); every
     # other nonempty set has gcd 1 with n and contributes deviation exactly 0
-    masks: set[int] = set()
-    for d in divisors(n)[1:]:
-        multiples = kz_mask(n, d)
-        sub = multiples
-        while sub:
-            masks.add(sub)
-            sub = (sub - 1) & multiples
-    return sorted(masks)
+    masks = {sub for d in divisors(n)[1:] for sub in submasks(kz_mask(n, d))}
+    return sorted(masks - {0})
 
 
 def alpha_deviation_scan(n: int) -> ScanReport:

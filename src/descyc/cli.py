@@ -207,22 +207,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     families = [_parse_family(args.family, n) for n in _parse_range(args)]
     reports = [asymptotics.beta_deviation_scan(family, jobs=args.jobs)
                for family in families]
+    rows = [r.to_json_dict(include_timing=args.timing) for r in reports]
     if args.format == "json":
-        doc = {"reports": [r.to_json_dict(include_timing=args.timing)
-                           for r in reports]}
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps({"reports": rows}, sort_keys=True))
     elif args.format == "csv":
-        header = "n,family,max_deviation_num,max_deviation_den,argmax_set,member_count"
-        if args.timing:
-            header += ",elapsed_ms"
-        print(header)
-        for r in reports:
-            row = (f"{r.n},{csv_field(r.family)},{r.max_deviation.numerator},"
-                   f"{r.max_deviation.denominator},{csv_field(r.argmax.to_text())},"
-                   f"{r.member_count}")
-            if args.timing:
-                row += f",{int(r.elapsed_s * 1000)}"
-            print(row)
+        print(",".join(rows[0]))
+        for row in rows:
+            print(",".join(csv_field(str(v)) for v in row.values()))
     else:
         for r in reports:
             dev = r.max_deviation

@@ -11,7 +11,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 # Exact counts are plain Python integers throughout; no counting path may
 # touch floating point.
@@ -139,6 +140,42 @@ def mobius_sum(n: int, term) -> int:
     for d, mu in square_free_divisors(n):
         total += mu * term(d)
     return total
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """Every submask of mask, from mask itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def signed_submask_sum(mask: int, f) -> int:
+    """The sum of (-1)^(|mask| - |sub|) * f(sub) over the submasks of mask."""
+    size = mask.bit_count()
+    total = 0
+    for sub in submasks(mask):
+        term = f(sub)
+        total += -term if (size - sub.bit_count()) & 1 else term
+    return total
+
+
+def subset_sums(table: Sequence[int]) -> list[int]:
+    """The zeta transform of a per-mask table: entry mask is the sum of
+    table[sub] over the submasks sub of mask.
+
+    Bit b is folded in by adding each block of 2^b entries without that bit
+    to the block above it, so 2^m entries take m * 2^(m-1) additions.
+    """
+    out = list(table)
+    step = 1
+    while step < len(out):
+        for top in range(step, len(out), 2 * step):
+            out[top:top + step] = map(add, out[top:top + step], out[top - step:top])
+        step *= 2
+    return out
 
 
 @dataclass(frozen=True)

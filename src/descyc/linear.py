@@ -24,6 +24,7 @@ from .core import (
     DomainError,
     MEMO_SIZE,
     capped_sequence,
+    signed_submask_sum,
     small_table_cache,
 )
 
@@ -94,16 +95,7 @@ def _beta_dp(n: int, mask: int) -> Count:
 def _beta_inclusion_exclusion(n: int, mask: int) -> Count:
     # Signed sum of alpha over all subsets of the mask; shares no code with
     # the DP route.
-    size = mask.bit_count()
-    total = 0
-    sub = mask
-    while True:
-        sign = -1 if (size - sub.bit_count()) & 1 else 1
-        total += sign * alpha_mask(n, sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return total
+    return signed_submask_sum(mask, functools.partial(alpha_mask, n))
 
 
 def beta(I: DescentSet, strategy: Strategy = Strategy.DP) -> Count:

@@ -45,6 +45,7 @@ from .core import (
     exact_div,
     mask_elements,
     mobius_sum,
+    signed_submask_sum,
 )
 from .linear import multinomial
 
@@ -325,15 +326,8 @@ def count_by_type_and_descents(lam: Partition, I: DescentSet, exact: bool = True
         raise DomainError(f"type size {lam.n} != ambient size {I.n}")
     if not exact:
         return count_words_by_type(lam, composition_of(I).parts)
-    size = I.mask.bit_count()
-    total = 0
-    sub = I.mask
-    while True:
-        sign = -1 if (size - sub.bit_count()) & 1 else 1
-        total += sign * _words_by_type(lam, _sorted_parts(I.n, sub))
-        if sub == 0:
-            break
-        sub = (sub - 1) & I.mask
+    total = signed_submask_sum(
+        I.mask, lambda sub: _words_by_type(lam, _sorted_parts(I.n, sub)))
     if total < 0:
         raise InvariantViolation(
             f"negative exact count for type {lam.parts}, set {I.to_text()!r}")

@@ -15,6 +15,7 @@ from typing import Iterator
 
 from .core import (
     CapacityError,
+    MAX_N,
     Count,
     DomainError,
     capped_sequence,
@@ -26,8 +27,9 @@ from .core import (
 from .cyclic import beta_cyc_mask
 from .linear import beta_mask
 
-# Bounded-part composition scans stay comfortably under a second up to here.
-CYCLE_SCAN_CAP = 24
+# Most descent sets a monotone-run family sum walks (all but one at n = 16);
+# the slowest sum under it, n = 22 and k = 3, takes about 1.3 s on one core.
+FAMILY_SUM_CAP = (1 << 15) - 1
 
 
 def chi(r: int, k: int = 3) -> int:
@@ -152,6 +154,19 @@ def bounded_composition_masks(n: int, max_part: int) -> Iterator[int]:
             stack.append((acc + part, mask | 1 << (acc + part - 1)))
 
 
+def _family_masks(n: int, k: int) -> Iterator[int]:
+    # the descent sets with no k-1 adjacent ascents, counted first by the
+    # O(n * k) recurrence on compositions with parts < k and refused over
+    # the cap before the walk
+    counts = [1]
+    for m in range(1, n + 1):
+        counts.append(sum(counts[max(m - k + 1, 0):]))
+    if counts[n] > FAMILY_SUM_CAP:
+        raise CapacityError(f"monotone-run family sums capped at {FAMILY_SUM_CAP}"
+                            f" sets, got {counts[n]} for n = {n}, k = {k}")
+    return bounded_composition_masks(n, k - 1)
+
+
 def spaced_composition_masks(n: int, min_part: int = 2) -> Iterator[int]:
     """Descent-set masks whose gap compositions have all parts >= min_part."""
     stack = [(0, 0)]
@@ -164,21 +179,27 @@ def spaced_composition_masks(n: int, min_part: int = 2) -> Iterator[int]:
             stack.append((acc + part, mask | 1 << (acc + part - 1)))
 
 
+def _check_run_args(n: int, k: int, direction: str, least_n: int) -> None:
+    if n < least_n or k < 2:
+        raise DomainError(f"needs n >= {least_n} and k >= 2, got {n}, {k}")
+    if direction not in ("incr", "decr"):
+        raise DomainError(f"direction must be incr or decr, got {direction!r}")
+    if n > MAX_N:
+        raise CapacityError(f"monotone-run counts capped at n = {MAX_N}, got {n}")
+
+
 def monotone_avoiders(n: int, k: int, direction: str = "incr") -> Count:
     """Permutations of n with no k-1 adjacent ascents (incr) or descents.
 
     Both directions agree through the bijection that reads the one-line
     word backwards, so the descending count reuses the ascending sum.
     """
-    if n < 0 or k < 2:
-        raise DomainError(f"needs n >= 0 and k >= 2, got {n}, {k}")
-    if direction not in ("incr", "decr"):
-        raise DomainError(f"direction must be incr or decr, got {direction!r}")
+    _check_run_args(n, k, direction, 0)
     if n == 0:
         return 1
     if k > n:
         return math.factorial(n)
-    return sum(beta_mask(n, mask) for mask in bounded_composition_masks(n, k - 1))
+    return sum(beta_mask(n, mask) for mask in _family_masks(n, k))
 
 
 def cycles_avoiding_monotone(n: int, k: int, direction: str = "incr") -> Count:
@@ -188,17 +209,12 @@ def cycles_avoiding_monotone(n: int, k: int, direction: str = "incr") -> Count:
     runs sum over their complements.  For k = 3 this must agree with the
     closed forms, which the verification suite asserts.
     """
-    if n < 1 or k < 2:
-        raise DomainError(f"needs n >= 1 and k >= 2, got {n}, {k}")
-    if direction not in ("incr", "decr"):
-        raise DomainError(f"direction must be incr or decr, got {direction!r}")
-    if n > CYCLE_SCAN_CAP:
-        raise CapacityError(f"cycle scan capped at n = {CYCLE_SCAN_CAP}")
+    _check_run_args(n, k, direction, 1)
     if k > n:
         return math.factorial(n - 1)
     full = (1 << (n - 1)) - 1
     total = 0
-    for mask in bounded_composition_masks(n, k - 1):
+    for mask in _family_masks(n, k):
         member = mask if direction == "incr" else full ^ mask
         total += beta_cyc_mask(n, member)
     return total

@@ -18,6 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add
 
 from . import asymptotics, cyclic, linear, lyndon, oracle, patterns
 from .core import (
@@ -29,6 +30,7 @@ from .core import (
     mask_gcd,
     mobius,
     quotient_mask,
+    subset_sums,
 )
 
 @dataclass(frozen=True)
@@ -66,33 +68,29 @@ def _check(label: str):
     return wrap
 
 
+def _same_tables(n: int, *tables):
+    """Compare (name, got, want) per-mask tables at ambient n, in order.
+
+    The witness names the first table that differs and its first differing
+    mask: "NAME mismatch at I={...}".
+    """
+    for name, got, want in tables:
+        for mask, (a, b) in enumerate(zip(got, want, strict=True)):
+            if a != b:
+                return False, f"{name} mismatch at I={{{DescentSet(n, mask).to_text()}}}"
+    return True, ""
+
+
 @_check("oracle agreement n={}")
 def _check_oracle(n: int):
     b_table, bc_table, _ = oracle.brute_tables(n)
-    fb = linear.beta_table(n)
-    fbc = cyclic.beta_cyc_table(n)
-    bad = ""
-    for mask in range(1 << (n - 1)):
-        if fb[mask] != b_table.counts[mask]:
-            bad = f"beta mismatch at I={{{DescentSet(n, mask).to_text()}}}"
-            break
-        if fbc[mask] != bc_table.counts[mask]:
-            bad = f"beta_cyc mismatch at I={{{DescentSet(n, mask).to_text()}}}"
-            break
-        sub, a_sum, ac_sum = mask, 0, 0
-        while True:
-            a_sum += b_table.counts[sub]
-            ac_sum += bc_table.counts[sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        if linear.alpha_mask(n, mask) != a_sum:
-            bad = f"alpha mismatch at I={{{DescentSet(n, mask).to_text()}}}"
-            break
-        if cyclic.alpha_cyc_mask(n, mask) != ac_sum:
-            bad = f"alpha_cyc mismatch at I={{{DescentSet(n, mask).to_text()}}}"
-            break
-    return not bad, bad
+    # lazy: a mismatch in an earlier table is reported before this can raise
+    alpha_cycs = map(functools.partial(cyclic.alpha_cyc_mask, n), range(1 << (n - 1)))
+    return _same_tables(
+        n, ("beta", linear.beta_table(n), b_table.counts),
+        ("beta_cyc", cyclic.beta_cyc_table(n), bc_table.counts),
+        ("alpha", linear.alpha_table(n), subset_sums(b_table.counts)),
+        ("alpha_cyc", alpha_cycs, subset_sums(bc_table.counts)))
 
 
 def suite_oracle(max_n: int) -> list[CheckResult]:
@@ -109,30 +107,23 @@ def _check_inversions(n: int):
     beta_cyc values over d | n.  The beta side writes out its quotients and
     signs instead of calling cyclic.signed_divisor_sum, which it checks.
     """
-    alphas = linear.alpha_table(n)
-    betas = linear.beta_table(n)
-    checked = 0
-    for mask in range(1 << (n - 1)):
-        size = mask.bit_count()
-        lhs_a = 0
-        for d in divisors(mask_gcd(n, mask)):
-            q = quotient_mask(mask, d, n)
-            lhs_a += (n // d) * cyclic.alpha_cyc_mask(n // d, q)
-        if lhs_a != alphas[mask]:
-            witness = DescentSet(n, mask).to_text()
-            return False, str(
-                ("alpha-from-alpha-cyc", witness, lhs_a, alphas[mask]))
-        lhs_b = 0
+    def alpha_side(mask):
+        return sum((n // d) * cyclic.alpha_cyc_mask(n // d, quotient_mask(mask, d, n))
+                   for d in divisors(mask_gcd(n, mask)))
+
+    def beta_side(mask):
+        total = 0
         for d in divisors(n):
             q = quotient_mask(mask, d, n)
-            sign = -1 if (size - q.bit_count()) & 1 else 1
-            lhs_b += sign * (n // d) * cyclic.beta_cyc_mask(n // d, q)
-        if lhs_b != betas[mask]:
-            witness = DescentSet(n, mask).to_text()
-            return False, str(
-                ("beta-from-beta-cyc", witness, lhs_b, betas[mask]))
-        checked += 1
-    return checked == 1 << (n - 1), f"checked {checked} sets"
+            sign = -1 if (mask.bit_count() - q.bit_count()) & 1 else 1
+            total += sign * (n // d) * cyclic.beta_cyc_mask(n // d, q)
+        return total
+
+    masks = range(1 << (n - 1))
+    return _same_tables(
+        n,
+        ("alpha-from-alpha-cyc", map(alpha_side, masks), linear.alpha_table(n)),
+        ("beta-from-beta-cyc", map(beta_side, masks), linear.beta_table(n)))
 
 
 def suite_inversions(max_n: int) -> list[CheckResult]:
@@ -143,12 +134,9 @@ def suite_inversions(max_n: int) -> list[CheckResult]:
 @_check("prefix identity n={}")
 def _check_prefix_identity(n: int):
     bc = cyclic.beta_cyc_table(n)
-    prev = linear.beta_table(n - 1)
     high = 1 << (n - 2)
-    for mask in range(high):
-        if bc[mask] + bc[mask | high] != prev[mask]:
-            return False, f"I={{{DescentSet(n, mask).to_text()}}}"
-    return True, ""
+    return _same_tables(
+        n, ("prefix", map(add, bc[:high], bc[high:]), linear.beta_table(n - 1)))
 
 
 @_check("gcd shortcuts n={}")
@@ -182,12 +170,9 @@ def _check_complements(n: int):
     from the table, the half-size value from the point formula.
     """
     table = cyclic.beta_cyc_table(n)
-    full = (1 << (n - 1)) - 1
     if n % 4 != 2:
-        for mask in range(1 << (n - 1)):
-            if table[mask] != table[full ^ mask]:
-                return False, f"I={{{DescentSet(n, mask).to_text()}}}"
-        return True, ""
+        return _same_tables(n, ("complement", table, table[::-1]))
+    full = (1 << (n - 1)) - 1
     evens = linear.kz_mask(n, 2)
     for mask in range(1 << (n - 1)):
         if (mask & ~evens).bit_count() % 2 == 0:
@@ -274,17 +259,9 @@ def _check_spot_values():
 
 @_check("alpha_cyc subset sums n={}")
 def _check_alpha_cyc_subset_sums(n: int):
-    table = cyclic.beta_cyc_table(n)
-    for mask in range(1 << (n - 1)):
-        sub, acc = mask, 0
-        while True:
-            acc += table[sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        if acc != cyclic.alpha_cyc_mask(n, mask):
-            return False, f"I={{{DescentSet(n, mask).to_text()}}}"
-    return True, ""
+    alpha_cycs = [cyclic.alpha_cyc_mask(n, m) for m in range(1 << (n - 1))]
+    return _same_tables(
+        n, ("alpha_cyc", alpha_cycs, subset_sums(cyclic.beta_cyc_table(n))))
 
 
 def suite_corollaries(max_n: int) -> list[CheckResult]:
@@ -320,12 +297,9 @@ def _check_word_counts(n: int):
 
 @_check("type sums give beta n={}")
 def _check_type_sums(n: int):
-    betas = linear.beta_table(n)
     tables = [lyndon.type_descent_table(lam) for lam in lyndon.partitions_of(n)]
-    for mask, column in enumerate(zip(*tables)):
-        if sum(column) != betas[mask]:
-            return False, f"I={{{DescentSet(n, mask).to_text()}}}"
-    return True, ""
+    return _same_tables(
+        n, ("type sum", map(sum, zip(*tables)), linear.beta_table(n)))
 
 
 @_check("factorization laws length={}")

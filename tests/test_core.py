@@ -18,8 +18,11 @@ from descyc.core import (
     mobius,
     mobius_sum,
     set_of,
+    signed_submask_sum,
     square_free_divisors,
+    submasks,
     subset_quotient,
+    subset_sums,
 )
 
 
@@ -47,6 +50,29 @@ def test_mobius_sum():
         # Euler's totient, counted directly
         totient = sum(1 for i in range(1, n + 1) if math.gcd(i, n) == 1)
         assert mobius_sum(n, lambda d: n // d) == totient, n
+
+
+def _itertools_submasks(mask):
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    return [(len(bits) - r, sum(c)) for r in range(len(bits) + 1)
+            for c in itertools.combinations(bits, r)]
+
+
+def test_subset_walks_match_itertools():
+    rng = random.Random(17)
+    for n in range(1, 11):
+        table = [rng.randrange(-1000, 1000) for _ in range(1 << (n - 1))]
+        sums = subset_sums(table)
+        assert sums == subset_sums(tuple(table))
+        for mask in range(1 << (n - 1)):
+            pairs = _itertools_submasks(mask)
+            walked = list(submasks(mask))
+            assert walked[0] == mask and walked[-1] == 0
+            assert sorted(walked) == sorted(sub for _, sub in pairs)
+            assert len(set(walked)) == len(walked)
+            assert signed_submask_sum(mask, table.__getitem__) == sum(
+                (-1) ** missing * table[sub] for missing, sub in pairs)
+            assert sums[mask] == sum(table[sub] for _, sub in pairs)
 
 
 def test_capped_sequence_builds_each_term_once():

@@ -1,7 +1,9 @@
 """Every memo in the package is one of three kinds: a bounded
 ``lru_cache(MEMO_SIZE)``, ``core.small_table_cache``, or a sequence under
 ``core.capped_sequence``.  A ``global`` statement, a module-level container
-that a function grows, or an ``lru_cache`` of any other size fails here."""
+that a function grows, or an ``lru_cache`` of any other size fails here.
+So does a submask step ``(sub - 1) & mask`` outside ``core.submasks``, the
+one walk of the subset lattice."""
 
 import ast
 from pathlib import Path
@@ -30,10 +32,24 @@ def _bounded(call) -> bool:
     return len(sizes) == 1 and getattr(sizes[0], "id", None) == "MEMO_SIZE"
 
 
-def _violations(src: Path = SRC) -> set[tuple[str, str]]:
-    found = set()
+def _modules(src: Path):
+    """(stem, tree, owners) per module, where owners maps the id of each
+    node to "module.function" for the innermost function around it."""
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
+        # ast.walk reaches an outer function before the functions nested in it
+        owners = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for part in (*node.decorator_list, *node.body):
+                    for inner in ast.walk(part):
+                        owners[id(inner)] = f"{path.stem}.{node.name}"
+        yield path.stem, tree, owners
+
+
+def _violations(src: Path = SRC) -> set[tuple[str, str]]:
+    found = set()
+    for stem, tree, owners in _modules(src):
         containers = set()  # module-level names bound to a list, dict or set
         for node in tree.body:
             if isinstance(node, ast.Assign):
@@ -45,25 +61,32 @@ def _violations(src: Path = SRC) -> set[tuple[str, str]]:
             if isinstance(node.value, (ast.List, ast.Dict, ast.Set)):
                 containers |= {t.id for t in targets if isinstance(t, ast.Name)}
         calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
-        # the innermost function around each node; ast.walk reaches an
-        # outer function before the functions nested in it
-        owners = {}
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for part in (*node.decorator_list, *node.body):
-                    for inner in ast.walk(part):
-                        owners[id(inner)] = f"{path.stem}.{node.name}"
-        for node in ast.walk(tree):
-            owner = owners.get(id(node), path.stem)
+            owner = owners.get(id(node), stem)
             if isinstance(node, ast.Global):
                 found.add((owner, "global"))
             elif _memo_name(node) and not _bounded(calls.get(id(node))):
                 found.add((owner, "lru_cache"))
-            elif (owner != path.stem and isinstance(node, ast.Attribute)
+            elif (owner != stem and isinstance(node, ast.Attribute)
                   and node.attr in _MUTATORS
                   and getattr(node.value, "id", None) in containers):
                 found.add((owner, f"grows {node.value.id}"))
     return found
+
+
+def _is_submask_step(node: ast.AST) -> bool:
+    # (name - 1) & anything; a mask such as ((1 << p) - 1) & m does not match
+    left = getattr(node, "left", None)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+            and isinstance(left, ast.BinOp) and isinstance(left.op, ast.Sub)
+            and isinstance(left.left, ast.Name)
+            and isinstance(left.right, ast.Constant) and left.right.value == 1)
+
+
+def _submask_steps(src: Path = SRC) -> set[str]:
+    """The functions (or modules) that hold a submask step."""
+    return {owners.get(id(node), stem) for stem, tree, owners in _modules(src)
+            for node in ast.walk(tree) if _is_submask_step(node)}
 
 
 def test_memos_follow_one_policy():
@@ -98,3 +121,20 @@ def test_policy_check_flags_ad_hoc_memos(tmp_path):
         ("bad.fill", "grows _table"),
         ("bad.unbounded", "lru_cache"), ("bad.default_size", "lru_cache"),
         ("bad.plain_cache", "lru_cache")}
+
+
+def test_one_submask_walk():
+    assert _submask_steps() == {"core.submasks"}
+
+
+def test_submask_check_flags_hand_written_walks(tmp_path):
+    (tmp_path / "bad.py").write_text(
+        "def walk(mask):\n"
+        "    sub = mask\n"
+        "    while sub:\n"
+        "        sub = (sub - 1) & mask\n"
+        "top = (1 - 1) & 3\n"
+        "step = (top - 1) & 3\n"
+        "def low_bits(p, mask):\n"
+        "    return ((1 << p) - 1) & mask, mask & ((1 << p) - 1)\n")
+    assert _submask_steps(tmp_path) == {"bad.walk", "bad"}

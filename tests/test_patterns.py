@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from descyc.cyclic import beta_cyc_mask
 from descyc.linear import beta_mask
 from descyc.oracle import brute_pattern_profile
 from descyc.patterns import (
+    FAMILY_SUM_CAP,
     GAMMA_CAP,
     bounded_composition_masks,
     chi,
@@ -135,6 +137,25 @@ def test_cycles_avoiding_monotone_edges():
         cycles_avoiding_monotone(25, 3)
     with pytest.raises(DomainError):
         cycles_avoiding_monotone(4, 3, "up")
+
+
+def test_family_sums_capped_by_their_size():
+    # (16, 16) walks every set of n = 16 but the empty one: exactly the cap
+    assert FAMILY_SUM_CAP == (1 << 15) - 1
+    assert monotone_avoiders(16, 16) == math.factorial(16) - 1
+    start = time.monotonic()
+    for n, k in ((17, 17), (23, 3), (24, 3), (25, 3), (40, 20), (64, 3), (64, 64)):
+        for count in (monotone_avoiders, cycles_avoiding_monotone):
+            with pytest.raises(CapacityError, match="sets"):
+                count(n, k)
+    for count in (monotone_avoiders, cycles_avoiding_monotone):
+        with pytest.raises(CapacityError, match="n = 64"):
+            count(65, 66)
+    assert time.monotonic() - start < 1
+    # the k > n shortcuts and the one-set k = 2 family answer up to n = 64
+    assert cycles_avoiding_monotone(40, 41) == math.factorial(39)
+    assert monotone_avoiders(64, 2) == 1
+    assert cycles_avoiding_monotone(64, 2) == beta_cyc_mask(64, (1 << 63) - 1)
 
 
 def test_decr_uses_complements():
