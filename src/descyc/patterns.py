@@ -9,8 +9,7 @@ on both ends) through signed divisor sums split by residue mod 3.
 
 from __future__ import annotations
 
-import math
-from operator import add
+from operator import add, neg
 from typing import Iterator
 
 from .core import (
@@ -24,12 +23,7 @@ from .core import (
     mobius,
     mobius_sum,
 )
-from .cyclic import beta_cyc_mask
-from .linear import beta_mask
-
-# Most descent sets a monotone-run family sum walks (all but one at n = 16);
-# the slowest sum under it, n = 22 and k = 3, takes about 1.3 s on one core.
-FAMILY_SUM_CAP = (1 << 15) - 1
+from .linear import psi_step
 
 
 def chi(r: int, k: int = 3) -> int:
@@ -154,19 +148,6 @@ def bounded_composition_masks(n: int, max_part: int) -> Iterator[int]:
             stack.append((acc + part, mask | 1 << (acc + part - 1)))
 
 
-def _family_masks(n: int, k: int) -> Iterator[int]:
-    # the descent sets with no k-1 adjacent ascents, counted first by the
-    # O(n * k) recurrence on compositions with parts < k and refused over
-    # the cap before the walk
-    counts = [1]
-    for m in range(1, n + 1):
-        counts.append(sum(counts[max(m - k + 1, 0):]))
-    if counts[n] > FAMILY_SUM_CAP:
-        raise CapacityError(f"monotone-run family sums capped at {FAMILY_SUM_CAP}"
-                            f" sets, got {counts[n]} for n = {n}, k = {k}")
-    return bounded_composition_masks(n, k - 1)
-
-
 def spaced_composition_masks(n: int, min_part: int = 2) -> Iterator[int]:
     """Descent-set masks whose gap compositions have all parts >= min_part."""
     stack = [(0, 0)]
@@ -188,33 +169,44 @@ def _check_run_args(n: int, k: int, direction: str, least_n: int) -> None:
         raise CapacityError(f"monotone-run counts capped at n = {MAX_N}, got {n}")
 
 
-def monotone_avoiders(n: int, k: int, direction: str = "incr") -> Count:
-    """Permutations of n with no k-1 adjacent ascents (incr) or descents.
+def _run_family_sum(n: int, k: int, d: int, descending: bool) -> int:
+    """The sum of (-1)**(|I| - |I/d|) * beta(I/d) at ambient n/d over the
+    descent sets I of n with no k-1 adjacent ascents, or descents if
+    descending; d divides n.
 
-    Both directions agree through the bijection that reads the one-line
-    word backwards, so the descending count reuses the ascending sum.
+    One pass over the steps i = 1..n-1: runs[r] is the summed rank-prefix
+    vector of I/d over the prefixes that end in r steps of the limited kind.
+    psi_step is linear, so the prefixes that merge into one run length share
+    one vector.  A step at a multiple of d is a step of I/d; any other step
+    leaves the vector as it is, negated on a descent.
     """
+    def step(psi: list[int], i: int, descent: bool) -> list[int]:
+        if i % d == 0:
+            return psi_step(psi, descent)
+        return list(map(neg, psi)) if descent else psi
+
+    runs = [[1]]
+    for i in range(1, n):
+        # the list grows by one a step, so it stays within min(k - 1, n) runs
+        runs = [step(list(map(sum, zip(*runs))), i, not descending),
+                *(step(psi, i, descending) for psi in runs[:k - 2])]
+    return sum(map(sum, runs))
+
+
+def monotone_avoiders(n: int, k: int, direction: str = "incr") -> Count:
+    """Permutations of n with no k-1 adjacent ascents (incr) or descents."""
     _check_run_args(n, k, direction, 0)
-    if n == 0:
-        return 1
-    if k > n:
-        return math.factorial(n)
-    return sum(beta_mask(n, mask) for mask in _family_masks(n, k))
+    return _run_family_sum(n, k, 1, direction == "decr")
 
 
 def cycles_avoiding_monotone(n: int, k: int, direction: str = "incr") -> Count:
     """n-cycles avoiding a monotone run of length k, by direct family sums.
 
-    Ascending runs sum beta_cyc over small-gap descent sets; descending
-    runs sum over their complements.  For k = 3 this must agree with the
-    closed forms, which the verification suite asserts.
+    The main theorem summed over the descent sets with no k-1 adjacent
+    ascents (incr) or descents (decr), one Moebius sum of family passes.
+    For k = 3 this must agree with the closed forms, which the verification
+    suite asserts.
     """
     _check_run_args(n, k, direction, 1)
-    if k > n:
-        return math.factorial(n - 1)
-    full = (1 << (n - 1)) - 1
-    total = 0
-    for mask in _family_masks(n, k):
-        member = mask if direction == "incr" else full ^ mask
-        total += beta_cyc_mask(n, member)
-    return total
+    total = mobius_sum(n, lambda d: _run_family_sum(n, k, d, direction == "decr"))
+    return exact_div(total, n, "cycles_avoiding_monotone")

@@ -368,11 +368,13 @@ def _check_pattern_counts(n: int):
 
 @_check("closed forms vs family sums n={}")
 def _check_closed_forms(n: int):
-    ok = (patterns.cycles_avoiding_incr3(n)
-          == patterns.cycles_avoiding_monotone(n, 3, "incr")
-          and patterns.cycles_avoiding_decr3(n)
-          == patterns.cycles_avoiding_monotone(n, 3, "decr"))
-    return ok, ""
+    for direction, closed in (("incr", patterns.cycles_avoiding_incr3),
+                              ("decr", patterns.cycles_avoiding_decr3)):
+        want = closed(n)
+        got = patterns.cycles_avoiding_monotone(n, 3, direction)
+        if want != got:
+            return False, f"{direction}: closed form {want} != family sum {got}"
+    return True, ""
 
 
 @_check("incr3 equals decr3 off 2 mod 4")

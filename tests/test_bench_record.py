@@ -30,3 +30,17 @@ def test_parse_output_splits_run_lines():
         "record": record,
         "result": result,
     }
+
+
+def test_main_byte_compiles_the_checkout(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text("VALUE = 1\n")
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("raise SystemExit(3)\n")
+    args = ["--workload", "scan", "--seed", "1", "--label", "t", "--root", str(tmp_path)]
+    assert _load_tool().main(args) == 3  # run.py failed, so nothing is written
+    compiled = {path.name.split(".")[0] for path in package.glob("__pycache__/*.pyc")}
+    assert compiled == {"__init__", "mod"}

@@ -10,7 +10,6 @@ from descyc.cyclic import beta_cyc_mask
 from descyc.linear import beta_mask
 from descyc.oracle import brute_pattern_profile
 from descyc.patterns import (
-    FAMILY_SUM_CAP,
     GAMMA_CAP,
     bounded_composition_masks,
     chi,
@@ -99,7 +98,7 @@ def test_cycle_avoiders_match_oracle():
 
 
 def test_cycle_avoiders_match_family_sums():
-    assert_passed([verify._check_closed_forms(n) for n in range(1, 15)])
+    assert_passed([verify._check_closed_forms(n) for n in range(1, 65)])
 
 
 def test_incr_equals_decr_off_two_mod_four():
@@ -133,35 +132,46 @@ def test_cycles_avoiding_monotone_edges():
     for n in range(1, 9):
         for k in range(n + 1, n + 3):
             assert cycles_avoiding_monotone(n, k) == math.factorial(n - 1)
-    with pytest.raises(CapacityError):
-        cycles_avoiding_monotone(25, 3)
+    assert cycles_avoiding_monotone(25, 3) == cycles_avoiding_incr3(25)
     with pytest.raises(DomainError):
         cycles_avoiding_monotone(4, 3, "up")
 
 
-def test_family_sums_capped_by_their_size():
-    # (16, 16) walks every set of n = 16 but the empty one: exactly the cap
-    assert FAMILY_SUM_CAP == (1 << 15) - 1
-    assert monotone_avoiders(16, 16) == math.factorial(16) - 1
+def test_family_sums_answer_every_n_to_64():
+    # the inputs the per-set sums once refused as too many sets
     start = time.monotonic()
     for n, k in ((17, 17), (23, 3), (24, 3), (25, 3), (40, 20), (64, 3), (64, 64)):
-        for count in (monotone_avoiders, cycles_avoiding_monotone):
-            with pytest.raises(CapacityError, match="sets"):
-                count(n, k)
+        for direction in ("incr", "decr"):
+            assert monotone_avoiders(n, n + 1, direction) == math.factorial(n)
+            assert cycles_avoiding_monotone(n, n + 1, direction) == math.factorial(n - 1)
+        # only the monotone word has a run of n, and it is no n-cycle
+        if k == n:
+            assert monotone_avoiders(n, n) == math.factorial(n) - 1
+            assert cycles_avoiding_monotone(n, n) == math.factorial(n - 1)
+        if k == 3:
+            assert monotone_avoiders(n, 3) == gamma(n)
+            assert cycles_avoiding_monotone(n, 3, "incr") == cycles_avoiding_incr3(n)
+            assert cycles_avoiding_monotone(n, 3, "decr") == cycles_avoiding_decr3(n)
+        assert monotone_avoiders(n, k, "incr") == monotone_avoiders(n, k, "decr")
+        assert 0 < cycles_avoiding_monotone(n, k) < monotone_avoiders(n, k)
+    assert monotone_avoiders(64, 10**18) == math.factorial(64)
     for count in (monotone_avoiders, cycles_avoiding_monotone):
         with pytest.raises(CapacityError, match="n = 64"):
             count(65, 66)
     assert time.monotonic() - start < 1
-    # the k > n shortcuts and the one-set k = 2 family answer up to n = 64
-    assert cycles_avoiding_monotone(40, 41) == math.factorial(39)
     assert monotone_avoiders(64, 2) == 1
     assert cycles_avoiding_monotone(64, 2) == beta_cyc_mask(64, (1 << 63) - 1)
 
 
 def test_decr_uses_complements():
-    # the descending cycle family is the complement family, summed directly
-    for n in range(2, 12):
+    # the per-set route: beta and beta_cyc summed over the small-gap descent
+    # sets, complemented for the descending runs
+    for n in range(1, 13):
         full = (1 << (n - 1)) - 1
-        expected = sum(beta_cyc_mask(n, full ^ m)
-                       for m in bounded_composition_masks(n, 2))
-        assert cycles_avoiding_monotone(n, 3, "decr") == expected
+        for k in range(2, n + 2):
+            masks = list(bounded_composition_masks(n, k - 1))
+            for direction, flip in (("incr", 0), ("decr", full)):
+                assert monotone_avoiders(n, k, direction) == sum(
+                    beta_mask(n, m ^ flip) for m in masks), (n, k, direction)
+                assert cycles_avoiding_monotone(n, k, direction) == sum(
+                    beta_cyc_mask(n, m ^ flip) for m in masks), (n, k, direction)

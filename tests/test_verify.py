@@ -1,9 +1,10 @@
 """Each whole-table check names the table that differs and the first set
-where it differs, so a planted off-by-one points at its own table."""
+where it differs, so a planted off-by-one points at its own table; the
+closed-form check names the direction that differs."""
 
 import pytest
 
-from descyc import cyclic, linear, verify
+from descyc import cyclic, linear, patterns, verify
 
 PLANTS = [
     (cyclic, "beta_cyc_table", {
@@ -39,3 +40,11 @@ def test_planted_off_by_one_names_its_table(monkeypatch, module, name, witnesses
         result = getattr(verify, check)(5)
         assert not result.ok, check
         assert result.witness == f"{table} mismatch at I={{1}}", check
+
+
+def test_closed_form_mismatch_names_its_direction(monkeypatch):
+    decr3 = patterns.cycles_avoiding_decr3
+    monkeypatch.setattr(patterns, "cycles_avoiding_decr3", lambda n: decr3(n) + 1)
+    result = verify._check_closed_forms(6)
+    assert not result.ok
+    assert result.witness == "decr: closed form 59 != family sum 58"

@@ -6,15 +6,18 @@
 Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` of the
 checkout at --root (default: this one), so a parent commit checked out
 elsewhere can be measured with its own benchmark code; T is the
-``run_seconds`` of that checkout's BENCHMARK.json.  Writes the metric
-lines, the error-rate line, the run record and the result JSON that run.py
-prints to BENCH_<label>.json at the root of this repository, and exits with
-run.py's exit code; nothing is written when run.py fails.
+``run_seconds`` of that checkout's BENCHMARK.json.  The checkout's src/ is
+byte-compiled first, so a fresh copy and a working tree both run from
+cached bytecode.  Writes the metric lines, the error-rate line, the run
+record and the result JSON that run.py prints to BENCH_<label>.json at the
+root of this repository, and exits with run.py's exit code; nothing is
+written when run.py fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import subprocess
 import sys
@@ -51,6 +54,7 @@ def main(argv=None) -> int:
         parser.error(f"label must be letters, digits, '_' or '-': {args.label!r}")
     root = args.root.resolve()
     seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    compileall.compile_dir(root / "src", quiet=1)
     cmd = ["perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run([sys.executable, *cmd], cwd=root, stdout=subprocess.PIPE,
