@@ -5,8 +5,10 @@ cycle types, pattern containment, and word factorization are recomputed
 from first principles, so agreement with the formulas is meaningful
 evidence rather than a tautology.
 
-One sweep over S_n (brute_tables, memoised per n) tallies permutations by
-cycle type and descent set.  Runs of ascents and descents depend only on
+One depth-first sweep over S_n (brute_tables, memoised per n) tallies
+permutations by cycle type and descent set: a shared prefix fixes its
+descent bits once, and cycles are tracked as open paths joined or closed
+in O(1) per placed value.  Runs of ascents and descents depend only on
 the descent set, so the pattern profile is read from those tallies;
 brute_avoiders and enumerate_permutations still walk S_n one permutation
 at a time and stay as the references for both.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -109,38 +112,61 @@ def brute_tables(
 ) -> tuple[CountTable, CountTable, Mapping[tuple[int, ...], CountTable]]:
     """Exact-descent counts overall, for n-cycles, and per cycle type.
 
-    One sweep over S_n tallies every permutation by cycle type and descent
-    mask; the overall row is the column sum of the per-type rows.  The
-    result is memoised per n, so the per-type map is read-only.
+    One depth-first sweep over S_n places a value at each position in
+    turn, so permutations that share a prefix share its descent bits.  The
+    placed arrows i -> perm[i] form closed cycles and open paths; every
+    unplaced position ends one open path, whose start is a value not yet
+    used, so head[e] and length[e] for the unplaced e are the whole state
+    (undone on backtrack), and the free values are exactly those heads.
+    Placing pos -> head[e] closes pos's path into a cycle when e == pos and
+    otherwise joins pos's path onto e's.  Each closed cycle of length L
+    adds (n + 1)**(L - 1) to an integer code, decoded to its cycle type
+    once at the end; the last two positions emit both leaves in one call.
+    The overall row is the column sum of the per-type rows.  The result is
+    memoised per n, so the per-type map is read-only.
     """
     _check_cap(n)
     size = 1 << (n - 1)
-    bits = [1 << i for i in range(n - 1)]
-    points = range(n)
-    by_type: dict[tuple[int, ...], list[int]] = {}
-    for perm in itertools.permutations(points):
-        mask = 0
-        for bit, a, b in zip(bits, perm, perm[1:]):
-            if a > b:
-                mask |= bit
-        seen = [False] * n
-        lengths = []
-        for start in points:
-            if seen[start]:
-                continue
-            length = 1
-            j = perm[start]
-            while j != start:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            lengths.append(length)
-        lengths.sort(reverse=True)
-        ctype = tuple(lengths)
-        row = by_type.get(ctype)
-        if row is None:
-            row = by_type[ctype] = [0] * size
-        row[mask] += 1
+    cycle_code = [0] + [(n + 1) ** (cycle - 1) for cycle in range(1, n + 1)]
+    rows: defaultdict[int, list[int]] = defaultdict(lambda: [0] * size)
+    if n == 1:
+        rows[cycle_code[1]][0] = 1
+    else:
+        head = list(range(n))
+        length = [1] * n
+        last = n - 2
+        before, between = 1 << last >> 1, 1 << last
+
+        def sweep(pos: int, prev: int, mask: int, code: int) -> None:
+            if pos == last:
+                x, y = head[last], head[n - 1]
+                lx, ly = length[last], length[n - 1]
+                # last -> x, n-1 -> y: two cycles; swapped: one merged cycle
+                rows[code + cycle_code[lx] + cycle_code[ly]][
+                    mask | (before if prev > x else 0)
+                    | (between if x > y else 0)] += 1
+                rows[code + cycle_code[lx + ly]][
+                    mask | (before if prev > y else 0)
+                    | (between if y > x else 0)] += 1
+                return
+            bit = 1 << pos >> 1
+            start, grow = head[pos], length[pos]
+            sweep(pos + 1, start, mask | bit if prev > start else mask,
+                  code + cycle_code[grow])
+            for e in range(pos + 1, n):
+                value = head[e]
+                head[e] = start
+                length[e] += grow
+                sweep(pos + 1, value, mask | bit if prev > value else mask, code)
+                head[e] = value
+                length[e] -= grow
+
+        sweep(0, -1, 0, 0)
+    by_type = {
+        tuple(cycle for cycle in range(n, 0, -1)
+              for _ in range(code // cycle_code[cycle] % (n + 1))): row
+        for code, row in rows.items()
+    }
     betas = [sum(column) for column in zip(*by_type.values())]
     n_cycles = by_type.get((n,), [0] * size)
     typed = {

@@ -44,3 +44,16 @@ def test_main_byte_compiles_the_checkout(tmp_path):
     assert _load_tool().main(args) == 3  # run.py failed, so nothing is written
     compiled = {path.name.split(".")[0] for path in package.glob("__pycache__/*.pyc")}
     assert compiled == {"__init__", "mod"}
+
+
+def test_main_passes_the_trace_flag(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+    (tmp_path / "perfbench").mkdir()
+    # exits 10 + the --trace value, so nothing is written
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nraise SystemExit(10 + int(sys.argv[sys.argv.index('--trace') + 1]))\n")
+    args = ["--workload", "verify", "--seed", "1", "--label", "t", "--root", str(tmp_path)]
+    tool = _load_tool()
+    assert tool.main(args) == 10
+    assert tool.main([*args, "--trace", "1"]) == 11

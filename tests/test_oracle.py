@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -75,7 +76,7 @@ def test_brute_avoiders():
 
 def test_brute_tables_match_records():
     # the per-permutation records are the longhand for the sweep's loop
-    for n in range(1, 8):
+    for n in range(1, 9):
         rows = {}
         for record in enumerate_permutations(n):
             row = rows.setdefault(record.cycle_type, [0] * (1 << (n - 1)))
@@ -84,6 +85,45 @@ def test_brute_tables_match_records():
         assert {t: list(table.counts) for t, table in typed.items()} == rows
         assert list(betas.counts) == list(map(sum, zip(*rows.values())))
         assert list(beta_cycs.counts) == rows[(n,)]
+
+
+def _partitions(n, largest):
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+def test_brute_tables_class_sizes_and_reflection():
+    # each row sums to the size n!/z_lam of its conjugacy class, and
+    # conjugating by the reversal keeps the cycle type and reflects the
+    # descent set, I -> {n - i : i in I}
+    for n in range(1, 10):
+        _, _, typed = brute_tables(n)
+        assert sorted(typed) == sorted(_partitions(n, n))
+        reflect = [int(format(mask, f"0{n - 1}b")[::-1], 2)
+                   for mask in range(1 << (n - 1))]
+        for ctype, table in typed.items():
+            z = 1
+            for k in set(ctype):
+                m = ctype.count(k)
+                z *= k**m * math.factorial(m)
+            row = table.counts
+            assert sum(row) == math.factorial(n) // z
+            assert [row[mask] for mask in reflect] == list(row)
+
+
+def test_brute_tables_edges():
+    _, _, typed = brute_tables(1)
+    assert {t: list(table.counts) for t, table in typed.items()} == {(1,): [1]}
+    with pytest.raises(DomainError):
+        brute_tables(0)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        brute_tables(11)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_brute_tables_memo_is_read_only():

@@ -1,17 +1,18 @@
 """Record one benchmark run to BENCH_<label>.json.
 
     python3 tools/bench_record.py --workload scan --seed 7 --label scan_change \
-        [--root CHECKOUT]
+        [--root CHECKOUT] [--trace {0,1}]
 
-Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` of the
+Runs ``perfbench/run.py --workload W --seed S --seconds T --trace X`` of the
 checkout at --root (default: this one), so a parent commit checked out
 elsewhere can be measured with its own benchmark code; T is the
-``run_seconds`` of that checkout's BENCHMARK.json.  The checkout's src/ is
-byte-compiled first, so a fresh copy and a working tree both run from
-cached bytecode.  Writes the metric lines, the error-rate line, the run
-record and the result JSON that run.py prints to BENCH_<label>.json at the
-root of this repository, and exits with run.py's exit code; nothing is
-written when run.py fails.
+``run_seconds`` of that checkout's BENCHMARK.json.  --trace 0 (the default)
+records the end-to-end metrics, --trace 1 the per-layer ones.  The
+checkout's src/ is byte-compiled first, so a fresh copy and a working tree
+both run from cached bytecode.  Writes the metric lines, the error-rate
+line, the run record and the result JSON that run.py prints to
+BENCH_<label>.json at the root of this repository, and exits with run.py's
+exit code; nothing is written when run.py fails.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="checkout whose perfbench/run.py is run")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not args.label.replace("_", "").replace("-", "").isalnum():
         parser.error(f"label must be letters, digits, '_' or '-': {args.label!r}")
@@ -56,7 +58,7 @@ def main(argv=None) -> int:
     seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
     compileall.compile_dir(root / "src", quiet=1)
     cmd = ["perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(args.trace)]
     done = subprocess.run([sys.executable, *cmd], cwd=root, stdout=subprocess.PIPE,
                           text=True)
     if done.returncode != 0:
