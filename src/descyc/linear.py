@@ -35,15 +35,22 @@ class Strategy(enum.Enum):
 
 
 def multinomial(n: int, parts) -> Count:
-    """n! / prod(p!) over the parts, which must sum to n."""
-    acc = 1
+    """n! / prod(p!) over the parts, which must sum to n.
+
+    The product of the binomials C(p_1 + ... + p_i, p_i) is taken in a
+    balanced tree, so that most products are of numbers of similar size.
+    """
+    factors = []
     total = 0
     for p in parts:
         total += p
-        acc *= math.comb(total, p)
+        factors.append(math.comb(total, p))
     if total != n:
         raise DomainError(f"parts sum to {total}, expected {n}")
-    return acc
+    while len(factors) > 1:
+        odd = factors[len(factors) & ~1:]
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd
+    return factors[0] if factors else 1
 
 
 def alpha(I: DescentSet) -> Count:

@@ -3,19 +3,19 @@ and evaluation, which mirror permutation counts by cycle type and descent
 set.
 
 The number of Lyndon words of length n with a given letter multiset comes
-from a Moebius divisor sum over multinomials; counts for arbitrary types
-convolve those across part lengths, treating equal-length factors as an
-unordered selection with repetition.  The convolution packs each
-evaluation into one int, a guarded bit field per letter (see _layout), so
-adding two evaluations is one integer add and checking one against the
-bound is one subtraction and one mask.
-
-By Gessel & Reutenauer ("Counting permutations with given cycle structure
-and descent set", JCTA 64, 1993) the number of words with Lyndon type lam
-and evaluation mu is the coefficient of x^mu in a symmetric function, so it
-depends only on the nonzero parts of mu, sorted.  The convolution is
-therefore memoized on (lam, sorted mu): the 2^(n-1) compositions of n
-share the p(n) partitions of n as keys.
+from a Moebius divisor sum over multinomials.  Counts for arbitrary types
+come from Gessel & Reutenauer ("Counting permutations with given cycle
+structure and descent set", JCTA 64, 1993): the words with Lyndon type lam
+are generated by the symmetric function L_lam = prod_k h_m[L_k], m the
+copies of k in lam, and the count at evaluation mu is <L_lam, h_mu>.  The
+type's expansion in power sums is computed once (_power_sum_expansion,
+integer coefficients after scaling by z_lam), and <p_rho, h_mu> counts the
+ways to fill the letters of mu exactly with the parts of rho (_fillings).
+Neither step uses count_lyndon or a multinomial, so the Lyndon counts and
+the word counts are two routes.  A symmetric function's coefficient depends
+only on the nonzero parts of mu, sorted, so the count is memoized on
+(lam, sorted mu): the 2^(n-1) compositions of n share the p(n) partitions
+of n as keys.
 
 The word count at the composition of I counts the permutations of type lam
 whose descent set lies inside I.  type_descent_table reads it at every
@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from . import linear
 from .core import (
     MEMO_SIZE,
     CapacityError,
@@ -46,15 +47,15 @@ from .core import (
     mask_elements,
     mobius_sum,
     signed_submask_sum,
+    square_free_divisors,
 )
-from .linear import multinomial
 
 Word = tuple[int, ...]
 
-# type_descent_table reads one word count per sorted composition of n.
-# Cold, every type at n = 12 takes under 1 s; at n = 14 the type (7, 7)
-# takes about 11 s, most of it pairing the Lyndon words of length 7.
-TYPE_TABLE_CAP = 12
+# Largest n served by the three type counts.  Types with many small parts
+# have the widest power-sum expansion: cold, on one core, the table of
+# (1^18) takes about 1.8 s, and its count at the full set 1.5 s.
+TYPE_CAP = 18
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,9 @@ def _normalize_evaluation(mu: Sequence[int]) -> tuple[int, ...]:
 
 
 # Largest n served by count_lyndon.  The slowest evaluation is all ones,
-# whose d = 1 term is n!: at n = 50000 it takes about 1.6 s on one core,
-# printing included, and the time grows faster than the square of n.
+# whose d = 1 term is n!: at n = 50000 the CLI takes about 1.1 s on one
+# core, about 0.8 s of it printing the decimal, and the time grows faster
+# than the square of n.
 LYNDON_CAP = 50000
 
 
@@ -167,92 +169,94 @@ def count_lyndon(n: int, mu: Sequence[int]) -> Count:
     if n > LYNDON_CAP:
         raise CapacityError(f"Lyndon counts capped at n = {LYNDON_CAP}, got {n}")
     total = mobius_sum(math.gcd(*ev), lambda d: (
-        multinomial(n // d, (m // d for m in ev if m))))
+        linear.multinomial(n // d, (m // d for m in ev if m))))
     return exact_div(total, n, "count_lyndon")
 
 
-def _bounded_evaluations(length: int, bound: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # weak compositions of `length` dominated entrywise by `bound`,
-    # lexicographic order
-    out: list[tuple[int, ...]] = []
+def _centralizer(parts: tuple[int, ...]) -> int:
+    # z_nu: the product over part sizes j of j^m * m!, with m copies of j
+    z = 1
+    for part in set(parts):
+        copies = parts.count(part)
+        z *= part ** copies * math.factorial(copies)
+    return z
 
-    def build(idx: int, remaining: int, prefix: tuple[int, ...]) -> None:
-        if idx == len(bound):
-            if remaining == 0:
-                out.append(prefix)
-            return
-        tail_room = sum(bound[idx + 1:])
-        lo = max(0, remaining - tail_room)
-        for take in range(lo, min(bound[idx], remaining) + 1):
-            build(idx + 1, remaining - take, prefix + (take,))
 
-    build(0, length, ())
+def _times(left: dict, right: dict) -> dict:
+    # product of two power-sum expansions keyed by sorted rho
+    out: dict[tuple[int, ...], int] = {}
+    for rho, c in left.items():
+        for sigma, e in right.items():
+            key = tuple(sorted(rho + sigma, reverse=True))
+            out[key] = out.get(key, 0) + c * e
     return out
 
 
-def _multiset_choose(objects: Count, copies: int) -> Count:
-    return math.comb(objects + copies - 1, copies)
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _power_sum_expansion(lam: Partition) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """z_lam * L_lam in the power-sum basis, as (rho, coefficient) pairs.
 
-
-def _layout(bound: Sequence[int]) -> tuple[int, int, int]:
-    """Field width, guard bits and guarded bound for packing evaluations.
-
-    An evaluation dominated by `bound` packs into one int, letter i in
-    bits [i*width, (i+1)*width).  The low width-1 bits of a field hold any
-    value up to 2*sum(bound), so the sum of two dominated evaluations never
-    carries into the next field; the top bit of each field is a guard.
-    With H the guard bits and BH = packed(bound) | H, a packed `acc`
-    whose fields are at most 2*sum(bound) is dominated by `bound` exactly
-    when (BH - acc) & H == H: a field that exceeds its bound clears its
-    own guard and borrows no further.
+    L_lam = prod_k h_m[L_k], with m the copies of k in lam, and
+    k * L_k = sum over d | k of mu(d) * p_d^(k/d).  By h_m = sum over
+    nu |- m of p_nu / z_nu and p_j[p_d] = p_jd, k^m * m! * h_m[L_k] is the
+    sum over nu of (m! / z_nu) * k^(m - len(nu)) times the product over the
+    parts j of nu of sum over d | k of mu(d) * p_jd^(k/d).  Its coefficients
+    are integers, and z_lam is the product of the k^m * m!.
     """
-    width = (2 * sum(bound)).bit_length() + 1
-    guards = _pack((1 << (width - 1),) * len(bound), width)
-    return width, guards, _pack(bound, width) | guards
-
-
-def _pack(ev: Sequence[int], width: int) -> int:
-    packed = 0
-    for e in reversed(ev):
-        packed = packed << width | e
-    return packed
+    expansion: dict[tuple[int, ...], int] = {(): 1}
+    for k in sorted(set(lam.parts)):
+        m = lam.parts.count(k)
+        plethysm = {j: {(j * d,) * (k // d): mu for d, mu in square_free_divisors(k)}
+                    for j in range(1, m + 1)}
+        factor: dict[tuple[int, ...], int] = {}
+        for nu in partitions_of(m):
+            scale = math.factorial(m) // _centralizer(nu.parts) * k ** (m - len(nu.parts))
+            term = {(): scale}
+            for j in nu:
+                term = _times(term, plethysm[j])
+            for rho, c in term.items():
+                factor[rho] = factor.get(rho, 0) + c
+        expansion = _times(expansion, factor)
+    return tuple((rho, c) for rho, c in expansion.items() if c)
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _length_class_table(
-    length: int, copies: int, bound: tuple[int, ...]
-) -> dict[int, Count]:
-    """Distributions of `copies` unordered Lyndon words of one length.
+def _fillings(rho: tuple[int, ...], caps: tuple[int, ...]) -> int:
+    """Maps from the parts of rho to letters that fill every letter exactly.
 
-    Maps total evaluation, packed in the layout of `bound`, -> number of
-    multisets realizing it.  Evaluation classes are walked in a fixed
-    lexicographic order; repetition within a class is a stars-and-bars
-    choice since equal words may repeat.
+    Letter i holds caps[i], and the parts sum to sum(caps): this is
+    <p_rho, h_caps>, the coefficient of x^caps in p_rho.  The first part
+    goes to any letter with room for it; the rest fill what is left, kept
+    as sorted nonzero capacities, where letters of equal room are alike.
     """
-    width, guards, ceiling = _layout(bound)
-    # rows[r]: packed evaluation -> ways, with r words still to choose.  A
-    # class moves entries only to lower rows, which it has already passed,
-    # so the rows are updated in place and row 0 is never walked.
-    rows: list[dict[int, Count]] = [{} for _ in range(copies)] + [{0: 1}]
-    for ev in _bounded_evaluations(length, bound):
-        available = count_lyndon(length, ev)
-        if available == 0:
-            continue
-        step = _pack(ev, width)
-        choose = [_multiset_choose(available, take) for take in range(copies + 1)]
-        for remaining in range(1, copies + 1):
-            for acc, ways in rows[remaining].items():
-                for take in range(1, remaining + 1):
-                    acc += step
-                    if (ceiling - acc) & guards != guards:
-                        break
-                    row = rows[remaining - take]
-                    row[acc] = row.get(acc, 0) + ways * choose[take]
-    return rows[0]
+    if not rho:
+        return 1  # the parts summed to the capacities: every letter is full
+    part, rest = rho[0], rho[1:]
+    letters: dict[int, int] = {}
+    for cap in caps:
+        if cap >= part:
+            letters[cap] = letters.get(cap, 0) + 1
+    total = 0
+    for cap, copies in letters.items():
+        left = list(caps)
+        left.remove(cap)
+        left.append(cap - part)
+        left = sorted(filter(None, left), reverse=True)
+        total += copies * _fillings(rest, tuple(left))
+    return total
+
+
+def _check_type_cap(lam: Partition) -> None:
+    if lam.n > TYPE_CAP:
+        raise CapacityError(f"type counts capped at n = {TYPE_CAP}, got {lam.n}")
 
 
 def count_words_by_type(lam: Partition, mu: Sequence[int]) -> Count:
-    """Words with Lyndon-factor lengths lam and evaluation mu."""
+    """Words with Lyndon-factor lengths lam and evaluation mu.
+
+    Raises CapacityError above TYPE_CAP, before the evaluation is read.
+    """
+    _check_type_cap(lam)
     ev = _normalize_evaluation(mu)
     if lam.n != sum(ev):
         raise DomainError(
@@ -262,27 +266,10 @@ def count_words_by_type(lam: Partition, mu: Sequence[int]) -> Count:
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _words_by_type(lam: Partition, ev: tuple[int, ...]) -> Count:
-    # the convolution over part lengths on packed evaluations; any order of
-    # ev, zeros allowed.  The last length class is read at the one packed
-    # evaluation that completes each partial sum to ev.
-    multiplicities: dict[int, int] = {}
-    for part in lam.parts:
-        multiplicities[part] = multiplicities.get(part, 0) + 1
-    *lengths, last = sorted(multiplicities, reverse=True)
-    width, guards, ceiling = _layout(ev)
-    combined: dict[int, Count] = {0: 1}
-    for length in lengths:
-        table = _length_class_table(length, multiplicities[length], ev)
-        nxt: dict[int, Count] = {}
-        for acc, ways in combined.items():
-            for sub_ev, sub_ways in table.items():
-                new_acc = acc + sub_ev
-                if (ceiling - new_acc) & guards == guards:
-                    nxt[new_acc] = nxt.get(new_acc, 0) + ways * sub_ways
-        combined = nxt
-    table = _length_class_table(last, multiplicities[last], ev)
-    target = _pack(ev, width)
-    return sum(ways * table.get(target - acc, 0) for acc, ways in combined.items())
+    # <L_lam, h_ev>, one integer sum over the expansion; any order of ev,
+    # zeros allowed
+    total = sum(c * _fillings(rho, ev) for rho, c in _power_sum_expansion(lam))
+    return exact_div(total, _centralizer(lam.parts), "_words_by_type")
 
 
 def _sorted_parts(n: int, mask: int) -> tuple[int, ...]:
@@ -299,12 +286,10 @@ def type_descent_table(lam: Partition) -> list[Count]:
     counts those whose descent set lies inside it (Gessel-Reutenauer);
     one subset Moebius transform turns those 2^(n-1) counts into exact
     ones, in (n-1) * 2^(n-2) subtractions where inclusion-exclusion set by
-    set takes 3^(n-1) terms.  Raises CapacityError above TYPE_TABLE_CAP.
+    set takes 3^(n-1) terms.  Raises CapacityError above TYPE_CAP.
     """
+    _check_type_cap(lam)
     n = lam.n
-    if n > TYPE_TABLE_CAP:
-        raise CapacityError(
-            f"type-descent tables capped at n = {TYPE_TABLE_CAP}, got {n}")
     table = [_words_by_type(lam, _sorted_parts(n, mask))
              for mask in range(1 << (n - 1))]
     for bit in range(n - 1):
@@ -321,7 +306,9 @@ def count_by_type_and_descents(lam: Partition, I: DescentSet, exact: bool = True
 
     With exact=False this is the count of those whose descent set is
     contained in I; with exact=True, exactly I (by inclusion-exclusion).
+    Raises CapacityError above TYPE_CAP.
     """
+    _check_type_cap(lam)
     if lam.n != I.n:
         raise DomainError(f"type size {lam.n} != ambient size {I.n}")
     if not exact:

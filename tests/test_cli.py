@@ -260,7 +260,8 @@ HOSTILE = {
     ("compute", "cycles-avoid-123"): ("--n", BIG),
     ("compute", "cycles-avoid-321"): ("--n", BIG),
     ("compute", "lyndon-count"): ("--n", BIG, "--evaluation", BIG),
-    ("compute", "type-descent-count"): ("--type", BIG),
+    ("compute", "type-descent-count"): (
+        "--type", ",".join(["1"] * 63), "--set", ",".join(map(str, range(1, 63)))),
     ("sequence", "alt-cycles"): ("--max-n", BIG),
     ("sequence", "cycles-avoid-123"): ("--max-n", BIG),
     ("sequence", "cycles-avoid-321"): ("--max-n", BIG),
@@ -293,6 +294,11 @@ def test_new_caps_answer_at_the_cap(capsys):
          "Lyndon counts capped at n = 50000, got 50001"),
         (("sequence", "eulerian-cyc-row", "--max-n", "301"),
          "eulerian-cyc-row capped at n = 300, got 301"),
+        (("compute", "type-descent-count", "--type", "19"),
+         "type counts capped at n = 18, got 19"),
+        (("compute", "type-descent-count", "--type", "12,12",
+          "--set", "2,4,6,8,10,12,14,16,18,20,22"),
+         "type counts capped at n = 18, got 24"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n"), argv
@@ -300,6 +306,9 @@ def test_new_caps_answer_at_the_cap(capsys):
         (("compute", "euler-k", "--n", "2000", "--k", "2000"), "1"),
         (("compute", "kz-cycles", "--n", "2000", "--k", "2000"), "0"),
         (("compute", "lyndon-count", "--n", "50000", "--evaluation", "50000"), "0"),
+        (("compute", "type-descent-count", "--type", "18", "--set", "2,4,6,8,10,12,14,16"),
+         str(cyclic.beta_cyc_mask(18, sum(1 << (i - 1) for i in range(2, 17, 2))))),
+        (("compute", "type-descent-count", "--type", ",".join(["1"] * 18)), "1"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out.strip()) == (0, expected), (argv, err)

@@ -21,3 +21,16 @@ def test_backticked_names_resolve():
     for doc, module, name in sorted(cited):
         assert hasattr(importlib.import_module(f"descyc.{module}"), name), (
             f"{doc} cites {module}.{name}")
+
+
+def test_readme_cap_figures_match_the_constants():
+    # "n = 2000, `linear.ZIGZAG_CAP`" and "10^7 (`linear.POWER_SUM_CAP`":
+    # the figure next to each cited cap is the constant's value
+    text = " ".join((ROOT / "README.md").read_text().split())
+    cited = re.findall(r"`\w+\.\w+_CAP`", text)
+    figures = re.findall(r"(\d+)(?:\^(\d+))?(?:,| \() ?`(\w+)\.(\w+_CAP)`", text)
+    assert cited and len(figures) == len(cited), "a cap cited without its figure"
+    for base, exponent, module, name in figures:
+        value = int(base) ** int(exponent or 1)
+        assert getattr(importlib.import_module(f"descyc.{module}"), name) == value, (
+            f"README gives {module}.{name} as {value}")

@@ -1,10 +1,17 @@
 import itertools
+import math
 
 import pytest
 
 from conftest import assert_passed
-from descyc import lyndon, verify
-from descyc.core import CapacityError, DescentSet, DomainError
+from descyc import linear, lyndon, verify
+from descyc.core import (
+    MAX_N,
+    CapacityError,
+    DescentSet,
+    DomainError,
+    square_free_divisors,
+)
 from descyc.cyclic import alpha_cyc_mask, beta_cyc_mask, beta_cyc_table
 from descyc.linear import beta_table
 from descyc.lyndon import (
@@ -21,6 +28,7 @@ from descyc.lyndon import (
 )
 from descyc.oracle import (
     brute_tables,
+    brute_words,
     is_lyndon_slow,
     slow_factorization,
 )
@@ -118,7 +126,6 @@ def test_count_by_type_and_descents():
         betas = beta_table(n)
         _, _, typed = brute_tables(n)
         parts = partitions_of(n)
-        tables = {lam: type_descent_table(lam) for lam in parts}
         for mask in range(1 << (n - 1)):
             I = DescentSet(n, mask)
             total = 0
@@ -127,7 +134,6 @@ def test_count_by_type_and_descents():
                 table = typed.get(lam.parts)
                 assert exact == (table.counts[mask] if table else 0), (
                     n, lam.parts, mask)
-                assert tables[lam][mask] == exact, (n, lam.parts, mask)
                 total += exact
             assert total == betas[mask]
             assert (count_by_type_and_descents(Partition((n,)), I, exact=True)
@@ -140,7 +146,6 @@ def test_count_by_type_and_descents():
     # to the main theorem that shares no code with the divisor-sum formulas
     for n in range(9, 13):
         row = type_descent_table(Partition((n,)))
-        assert row == list(beta_cyc_table(n)), n
         for mask in range(1 << (n - 1)):
             assert (count_by_type_and_descents(
                 Partition((n,)), DescentSet(n, mask), exact=True)
@@ -149,10 +154,65 @@ def test_count_by_type_and_descents():
         count_by_type_and_descents(Partition((2, 1)), DescentSet(4))
 
 
+def test_type_descent_tables_match_enumeration():
+    for n in range(1, 11):
+        _, _, typed = brute_tables(n)
+        for lam in partitions_of(n):
+            table = typed.get(lam.parts)
+            expected = list(table.counts) if table else [0] * (1 << (n - 1))
+            assert type_descent_table(lam) == expected, (n, lam.parts)
+
+
+def test_cycle_row_is_beta_cyc_up_to_the_cap():
+    for n in range(1, lyndon.TYPE_CAP + 1):
+        assert type_descent_table(Partition((n,))) == list(beta_cyc_table(n)), n
+
+
+def test_tables_at_the_cap():
+    # conjugating by the longest permutation keeps the cycle type and
+    # reflects the descent set, I -> n - I: bit i - 1 goes to bit n - 1 - i,
+    # which reverses the n - 1 bits of the mask
+    n = lyndon.TYPE_CAP
+    for parts in [(n // 2, n - n // 2), (2,) * 5 + (1,) * (n - 10)]:
+        row = type_descent_table(Partition(parts))
+        assert sum(row) == math.factorial(n) // lyndon._centralizer(parts), parts
+        reflected = [row[int(f"{mask:0{n - 1}b}"[::-1], 2)]
+                     for mask in range(len(row))]
+        assert reflected == row, parts
+
+
+def test_word_counts_use_neither_lyndon_counts_nor_multinomials(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the word counts took another route's code")
+
+    tally = brute_words(7, 3)
+    monkeypatch.setattr(lyndon, "count_lyndon", refused)
+    monkeypatch.setattr(linear, "multinomial", refused)
+    for memo in (lyndon._words_by_type, lyndon._power_sum_expansion,
+                 lyndon._fillings):
+        memo.cache_clear()
+    for (parts, ev), count in tally.items():
+        assert count_words_by_type(Partition(parts), ev) == count, (parts, ev)
+    with pytest.raises(AssertionError):
+        count_lyndon(6, (2, 2, 2))
+
+
 def test_type_descent_table_capped_before_any_work():
-    before = lyndon._words_by_type.cache_info()
-    for n in (lyndon.TYPE_TABLE_CAP + 1, 64, 10**6):
-        with pytest.raises(CapacityError, match=f"capped at n = {lyndon.TYPE_TABLE_CAP},"):
-            type_descent_table(Partition((n,)))
-    after = lyndon._words_by_type.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    memos = (lyndon._words_by_type, lyndon._power_sum_expansion,
+             lyndon._fillings, square_free_divisors)
+    before = [memo.cache_info() for memo in memos]
+    message = f"type counts capped at n = {lyndon.TYPE_CAP},"
+    over = lyndon.TYPE_CAP + 1
+    for lam in [Partition((over,)), Partition((64,)), Partition((10**6,)),
+                Partition((1,) * over), Partition((1,) * 64)]:
+        with pytest.raises(CapacityError, match=message):
+            type_descent_table(lam)
+        with pytest.raises(CapacityError, match=message):
+            count_words_by_type(lam, (lam.n,))
+        if lam.n <= MAX_N:
+            for exact in (True, False):
+                with pytest.raises(CapacityError, match=message):
+                    count_by_type_and_descents(lam, DescentSet(lam.n, 1), exact)
+    after = [memo.cache_info() for memo in memos]
+    assert ([(info.hits, info.misses) for info in after]
+            == [(info.hits, info.misses) for info in before])

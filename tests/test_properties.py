@@ -137,7 +137,7 @@ def test_codec_round_trips(case):
 @st.composite
 def typed_evaluations(draw):
     """(lam, mu, shuffled mu) with |lam| = |mu| <= 12, mu on 1..5 letters
-    and up to 8 more zero letters, so many fields pack a bound of zero."""
+    and up to 8 more zero letters, which no part of any rho may fill."""
     n = draw(st.integers(1, 12))
     lam = draw(st.sampled_from(lyndon.partitions_of(n)))
     letters = draw(st.integers(1, 5))
@@ -152,8 +152,9 @@ def typed_evaluations(draw):
 @given(typed_evaluations())
 def test_word_counts_symmetric_in_evaluation(case):
     # Gessel-Reutenauer: the count is a coefficient of a symmetric function,
-    # so the unmemoized convolution on any rearrangement of mu, zeros
-    # included, agrees with the count memoized on sorted mu
+    # so the unmemoized sum over the power-sum expansion, filling the
+    # letters of any rearrangement of mu, zeros included, agrees with the
+    # count memoized on sorted mu
     lam, mu, shuffled = case
     assert (lyndon._words_by_type.__wrapped__(lam, shuffled)
             == lyndon.count_words_by_type(lam, mu))
@@ -163,11 +164,10 @@ def test_word_counts_symmetric_in_evaluation(case):
 @given(typed_evaluations())
 def test_word_counts_by_type_sum_to_multinomial(case):
     # every word of evaluation mu has exactly one Lyndon type, so the counts
-    # over all types of n sum to the multinomial.  The packed bound check
-    # meets fields at their edges here: letters whose field reaches its
-    # bound exactly, and zero letters, whose field must stay zero.  A guard
-    # bit inside the value range, or a borrow from one field into the
-    # next, drops or adds words.
+    # over all types of n sum to the multinomial, which the word counts
+    # never compute.  Summed over the types, the power-sum expansions
+    # cancel down to p_1^n, so a wrong coefficient in any one of them, or a
+    # filling that a zero letter takes or an exact fill misses, shows.
     _, mu, shuffled = case
     n = sum(mu)
     assert sum(lyndon._words_by_type.__wrapped__(lam, shuffled)
