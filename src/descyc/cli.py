@@ -7,7 +7,8 @@ size cap included), 3 an internal error (a
 violated invariant or any other unexpected exception; the traceback goes
 to stderr).  Output is byte-identical across repeated runs and across
 --jobs settings; timing is only included when --timing is passed, since it
-is inherently nondeterministic.
+is inherently nondeterministic (`verify --timing` writes it to stderr, so
+its stdout is unchanged).
 """
 
 from __future__ import annotations
@@ -159,6 +160,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         total = len(report.results)
         failed = sum(1 for r in report.results if not r.ok)
         print(f"{total - failed}/{total} checks passed")
+    if args.timing:
+        for r in report.results:
+            print(f"{r.label} {r.seconds:.4f}", file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -320,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True,
                    help="largest size to check; each check clamps this to"
                         " the cap it is rated for")
+    p.add_argument("--timing", action="store_true",
+                   help="write each check's wall seconds to stderr")
     p.add_argument("--format", **fmt)
     p.set_defaults(func=_cmd_verify)
 

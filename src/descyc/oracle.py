@@ -16,10 +16,21 @@ at a time and stay as the references for both.
 The Eulerian rows, by number of descents, come from their classical
 recurrence rather than from enumeration, so they reach past S_10; the
 cycle rows sum the main theorem over the descent sets of each size.
+
+Words of one length over {1..q} are handled by their base-q ranks, which
+list them in lexicographic order.  One rotation sweep per (length, q),
+memoised (word_flags), flags each word primitive (no power of a shorter
+word) and Lyndon (smaller than each of its rotations, compared as
+integers).  One greedy loop takes longest Lyndon prefixes by reading those
+flags at the ranks of the prefixes; it gives brute_words its types and
+slow_factorization its factors.  None of this calls the lyndon module.
+is_lyndon_slow and is_primitive_slow test one word tuple directly and are
+the references for the sweep.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -28,6 +39,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .core import (
+    MEMO_SIZE,
     CapacityError,
     Count,
     CountTable,
@@ -41,7 +53,14 @@ from .core import (
 
 # 10! records stream in comfortably; anything larger is a different tool.
 ENUMERATION_CAP = 10
+# Words per (length, alphabet) of word_flags and brute_words; a word also
+# has at most WORD_CAP.bit_length() = 24 letters.
 WORD_CAP = 10**7
+
+# Flags of word_flags: a word is primitive when it is no power v^k with
+# k >= 2, and Lyndon when it is smaller than each nontrivial rotation.
+PRIMITIVE = 1
+LYNDON = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -315,18 +334,105 @@ def is_primitive_slow(word: tuple[int, ...]) -> bool:
     return all(word != word[i:] + word[:i] for i in range(1, len(word)))
 
 
+def _check_word_cap(length: int, q: int) -> None:
+    # q**length is built only for length <= 24 and q <= WORD_CAP, so a
+    # hostile size is refused at once.  At q >= 2 the cap on q**length
+    # already keeps words below 24 letters; the letter cap binds at q = 1.
+    if length < 1 or q < 1:
+        raise DomainError("need n >= 1 and alphabet_size >= 1")
+    if length > WORD_CAP.bit_length():
+        raise CapacityError(
+            f"words capped at {WORD_CAP.bit_length()} letters, got {length}")
+    if q > WORD_CAP or q**length > WORD_CAP:
+        raise CapacityError(f"{q}^{length} words exceed the cap of {WORD_CAP}")
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def word_flags(length: int, q: int) -> bytes:
+    """PRIMITIVE and LYNDON flags of every length-`length` word over {1..q}.
+
+    Entry r belongs to the word of base-q rank r (letter 1 is digit 0, the
+    first letter the most significant digit), so rank order is
+    lexicographic order and the rotation by i of rank r is
+    (r % q**(length - i)) * q**i + r // q**(length - i).  A word is Lyndon
+    when it is smaller than each of its nontrivial rotations: visited in
+    rank order, the first word of each rotation class not yet seen is its
+    least member, and it is compared with each rotation once; the other
+    members are not Lyndon.  A word is imprimitive when it is a power v^k
+    with k >= 2: after the walk, which marks every word it reaches
+    PRIMITIVE, the powers are listed directly as the ranks
+    u * (1 + q**d + q**(2d) + ...) over the proper divisors d of the length
+    and lose that flag, so the two flags come from separate facts.  Raises
+    CapacityError above WORD_CAP before any work.
+    """
+    _check_word_cap(length, q)
+    size = q**length
+    top = q ** (length - 1)
+    flags = bytearray(size)
+    for rank in range(size):
+        if flags[rank]:
+            continue
+        # rotate left by one letter, length - 1 times
+        rotations = [rank]
+        for _ in range(length - 1):
+            rotations.append(rotations[-1] % top * q + rotations[-1] // top)
+        for rotation in rotations:
+            flags[rotation] = PRIMITIVE  # for now; it also marks the word seen
+        if all(rank < rotation for rotation in rotations[1:]):
+            flags[rank] |= LYNDON
+    for d in divisors(length)[:-1]:
+        repunit = sum(q ** (d * k) for k in range(length // d))
+        for root in range(q**d):
+            flags[root * repunit] &= ~PRIMITIVE
+    return bytes(flags)
+
+
+def _flag_tables(length: int, q: int) -> tuple[list, list[int]]:
+    # flags[m] = word_flags(m, q) for each m <= length (flags[0] is None),
+    # and powers[k] = q**k
+    return ([None, *(word_flags(m, q) for m in range(1, length + 1))],
+            [q**k for k in range(length + 1)])
+
+
+def _factor_lengths(rank: int, length: int, flags: list,
+                    powers: list[int]) -> list[int]:
+    """Lengths of the longest-Lyndon-prefix factors of a word, in order.
+
+    The word has this base-q rank and length; flags and powers are
+    _flag_tables(length, q).  The letters from the current factor on are
+    rank % q**rest, and their first m letters are that // q**(rest - m).
+    One letter is always Lyndon, so each factor has a length.
+    """
+    lengths = []
+    rest = length
+    while rest:
+        suffix = rank % powers[rest]
+        m = rest
+        while not flags[m][suffix // powers[rest - m]] & LYNDON:
+            m -= 1
+        lengths.append(m)
+        rest -= m
+    return lengths
+
+
 def slow_factorization(word: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Factor greedily into longest Lyndon prefixes (quadratic, no Duval)."""
+    """Factor greedily into longest Lyndon prefixes (no Duval).
+
+    Every prefix is looked up in word_flags over the word's span of letters,
+    min(word)..max(word), so the word is capped like brute_words.
+    """
     if not word:
         raise DomainError("cannot factor the empty word")
+    low = min(word)
+    q = max(word) - low + 1
+    rank = 0
+    for letter in word:
+        rank = rank * q + letter - low
     factors = []
-    i = 0
-    while i < len(word):
-        for j in range(len(word), i, -1):
-            if is_lyndon_slow(word[i:j]):
-                factors.append(word[i:j])
-                i = j
-                break
+    start = 0
+    for m in _factor_lengths(rank, len(word), *_flag_tables(len(word), q)):
+        factors.append(word[start:start + m])
+        start += m
     return factors
 
 
@@ -335,21 +441,25 @@ def brute_words(
 ) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Count]:
     """Tally all length-n words over {1..q} by (type, evaluation).
 
-    The type comes from the slow factorization; evaluations are padded to
-    the alphabet size.
+    The type comes from the greedy factorization of _factor_lengths, read
+    from word_flags by rank; evaluations are padded to the alphabet size.
+    Raises CapacityError above WORD_CAP before any work.
     """
-    if n < 1 or alphabet_size < 1:
-        raise DomainError("need n >= 1 and alphabet_size >= 1")
-    if alphabet_size**n > WORD_CAP:
-        raise CapacityError(
-            f"{alphabet_size}^{n} words exceed the cap of {WORD_CAP}")
+    _check_word_cap(n, alphabet_size)
+    tables = _flag_tables(n, alphabet_size)
+    letters = range(1, alphabet_size + 1)
     tally: dict[tuple[tuple[int, ...], tuple[int, ...]], Count] = {}
-    for word in itertools.product(range(1, alphabet_size + 1), repeat=n):
-        factors = slow_factorization(word)
-        ctype = tuple(sorted((len(f) for f in factors), reverse=True))
-        ev = [0] * alphabet_size
-        for letter in word:
-            ev[letter - 1] += 1
-        key = (ctype, tuple(ev))
+    # the keys share one tuple per distinct type and per distinct
+    # evaluation (equal tuples are interchangeable): at n = 8, q = 3 the 786
+    # keys hold 22 types and 45 evaluations, which keeps the peak memory of
+    # a tally down
+    parts: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for rank, word in enumerate(itertools.product(letters, repeat=n)):
+        ctype = tuple(sorted(_factor_lengths(rank, n, *tables), reverse=True))
+        # a list, not an iterator, so the tuple is built at its final size:
+        # tuple() shrinks one built from an iterator, which leaves a spare
+        # tuple on the interpreter's free list for every word
+        ev = tuple([word.count(letter) for letter in letters])
+        key = (parts.setdefault(ctype, ctype), parts.setdefault(ev, ev))
         tally[key] = tally.get(key, 0) + 1
     return tally

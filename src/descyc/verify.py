@@ -9,7 +9,8 @@ exercise the expensive sweeps.
 
 Every check line is a `_check`-decorated function.  An InvariantViolation
 raised by a formula under test fails that one line, with the exception
-message as its witness, and every other line still runs.
+message as its witness, and every other line still runs.  Each line also
+carries its wall time, which `descyc verify --timing` prints to stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from operator import add
 
 from . import asymptotics, cyclic, linear, lyndon, oracle, patterns
@@ -38,6 +40,9 @@ class CheckResult:
     label: str
     ok: bool
     witness: str = ""
+    # wall time of the check; it differs between runs, so it takes no part
+    # in equality and no default output prints it
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -59,11 +64,13 @@ def _check(label: str):
     def wrap(body):
         @functools.wraps(body)
         def check(*args) -> CheckResult:
+            start = time.perf_counter()
             try:
                 ok, witness = body(*args)
             except InvariantViolation as exc:
                 ok, witness = False, str(exc)
-            return CheckResult(label.format(*args), ok, "" if ok else witness)
+            return CheckResult(label.format(*args), ok, "" if ok else witness,
+                               time.perf_counter() - start)
         return check
     return wrap
 
@@ -304,13 +311,22 @@ def _check_type_sums(n: int):
 
 @_check("factorization laws length={}")
 def _check_factorization_laws(length: int):
-    for word in itertools.product((1, 2, 3), repeat=length):
+    """Duval's factors of every word over {1, 2, 3} concatenate to the
+    word, weakly decrease and are Lyndon.  A factor's Lyndon flag comes from
+    the oracle's rotation sweep at the factor's rank: the base-3 digits of
+    the word's rank that it spans."""
+    flags, powers = oracle._flag_tables(length, 3)
+    for rank, word in enumerate(itertools.product((1, 2, 3), repeat=length)):
         factors = lyndon.lyndon_factorize(word)
         if (sum(factors, ()) != word
-                or any(not oracle.is_lyndon_slow(f) for f in factors)
-                or any(factors[i] < factors[i + 1]
-                       for i in range(len(factors) - 1))):
+                or any(f < g for f, g in itertools.pairwise(factors))):
             return False, f"word={word}"
+        rest = length  # letters after factor f
+        for f in factors:
+            m = len(f)
+            rest -= m
+            if not flags[m][rank // powers[rest] % powers[m]] & oracle.LYNDON:
+                return False, f"word={word}"
     return True, ""
 
 
@@ -329,13 +345,13 @@ def _check_necklace_totals(n: int):
 
 @_check("primitive words n={}")
 def _check_primitive_words(n: int):
+    """n times the Lyndon words are the primitive words: the oracle's sweep
+    finds the Lyndon words by comparing rotations and the imprimitive ones
+    as powers of shorter words."""
     for q in (1, 2, 3):
-        prim = 0
-        lynd = 0
-        for word in itertools.product(range(1, q + 1), repeat=n):
-            if oracle.is_primitive_slow(word):
-                prim += 1
-                lynd += oracle.is_lyndon_slow(word)
+        flags = oracle.word_flags(n, q)
+        prim = sum(1 for flag in flags if flag & oracle.PRIMITIVE)
+        lynd = sum(1 for flag in flags if flag & oracle.LYNDON)
         if prim != n * lynd:
             return False, f"q={q}: {prim} != {n} * {lynd}"
     return True, ""

@@ -415,6 +415,28 @@ def test_verify_commands(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_timing_goes_to_stderr(capsys, monkeypatch):
+    # one "label seconds" line per check on stderr; stdout and the exit
+    # code are those of the same run without the flag, passing or failing
+    def violated(n):
+        raise InvariantViolation(f"planted at n={n}")
+
+    for suite, plant in (("lyndon", False), ("corollaries", True)):
+        if plant:
+            monkeypatch.setattr(cyclic, "alternating_cycles", violated)
+        argv = ("verify", suite, "--max-n", "4")
+        labels = [check["label"] for check in
+                  json.loads(run_cli(capsys, *argv, "--format", "json")[1])["checks"]]
+        for fmt in ("plain", "json", "csv"):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            timed = run_cli(capsys, *argv, "--format", fmt, "--timing")
+            assert (code, err) == (int(plant), "")
+            assert timed[:2] == (code, out), (suite, fmt)
+            lines = timed[2].splitlines()
+            assert [line.rsplit(" ", 1)[0] for line in lines] == labels, (suite, fmt)
+            assert all(float(line.rsplit(" ", 1)[1]) >= 0 for line in lines)
+
+
 def test_scan_output_and_determinism(capsys):
     runs = []
     for jobs in ("1", "2", "4"):

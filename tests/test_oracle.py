@@ -1,10 +1,14 @@
+import itertools
 import math
 import time
 
 import pytest
 
+from descyc import lyndon
 from descyc.core import CapacityError, DomainError
 from descyc.oracle import (
+    LYNDON,
+    PRIMITIVE,
     brute_avoiders,
     brute_pattern_profile,
     brute_tables,
@@ -13,6 +17,7 @@ from descyc.oracle import (
     is_lyndon_slow,
     is_primitive_slow,
     slow_factorization,
+    word_flags,
 )
 
 
@@ -160,6 +165,9 @@ def test_slow_word_routines():
     assert not is_primitive_slow((1, 2, 1, 2))
     assert slow_factorization((2, 2, 1, 1)) == [(2,), (2,), (1,), (1,)]
     assert slow_factorization((1, 2, 1, 2)) == [(1, 2), (1, 2)]
+    # any span of integer letters, gaps and a lone letter included
+    assert slow_factorization((0, 5, 0, 0, 5)) == [(0, 5), (0, 0, 5)]
+    assert slow_factorization((7, 7, 7)) == [(7,), (7,), (7,)]
     with pytest.raises(DomainError):
         slow_factorization(())
 
@@ -177,3 +185,76 @@ def test_brute_words():
             assert sum(brute_words(n, q).values()) == q**n
     with pytest.raises(CapacityError):
         brute_words(30, 4)
+
+
+def test_word_flags_match_the_slow_predicates():
+    for length in range(1, 8):
+        for q in (1, 2, 3):
+            flags = word_flags(length, q)
+            words = itertools.product(range(1, q + 1), repeat=length)
+            assert [(bool(f & PRIMITIVE), bool(f & LYNDON)) for f in flags] == [
+                (is_primitive_slow(w), is_lyndon_slow(w)) for w in words], (length, q)
+
+
+def test_word_flags_are_read_only_and_memoised():
+    flags = word_flags(4, 2)
+    assert isinstance(flags, bytes) and word_flags(4, 2) is flags
+    # 1111 and 1212 are powers; 1112, 1122 and 1222 are the Lyndon words
+    assert bytes(flags) == bytes([0, 3, 1, 3, 1, 0, 1, 3, 1, 1, 0, 1, 1, 1, 1, 0])
+    with pytest.raises(TypeError):
+        flags[0] = PRIMITIVE
+
+
+def _greedy_type(word):
+    # longest Lyndon prefix first, each prefix tested by is_lyndon_slow
+    lengths, start = [], 0
+    while start < len(word):
+        stop = max(j for j in range(start + 1, len(word) + 1)
+                   if is_lyndon_slow(word[start:j]))
+        lengths.append(stop - start)
+        start = stop
+    return tuple(sorted(lengths, reverse=True))
+
+
+def test_brute_words_match_a_greedy_tally():
+    for n in range(1, 7):
+        for q in (1, 2, 3):
+            tally = {}
+            for word in itertools.product(range(1, q + 1), repeat=n):
+                key = (_greedy_type(word), tuple(word.count(a) for a in range(1, q + 1)))
+                tally[key] = tally.get(key, 0) + 1
+            assert brute_words(n, q) == tally, (n, q)
+
+
+def test_word_sweep_calls_no_lyndon_code(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the word sweep took the checked route's code")
+
+    want = {q: (bytes(word_flags(6, q)), brute_words(6, q)) for q in (1, 2, 3)}
+    names = ["lyndon_factorize", *(n for n in dir(lyndon) if n.startswith("count_"))]
+    assert "count_lyndon" in names and "count_words_by_type" in names
+    for name in names:
+        monkeypatch.setattr(lyndon, name, refused)
+    word_flags.cache_clear()
+    for q, (flags, tally) in want.items():
+        assert bytes(word_flags(6, q)) == flags
+        assert brute_words(6, q) == tally
+    assert slow_factorization((2, 1, 3)) == [(2,), (1, 3)]
+
+
+def test_word_cap_refused_before_any_power():
+    for call in (brute_words, word_flags):
+        for args, message in [
+            ((10**9, 3), "words capped at 24 letters, got 1000000000"),
+            ((25, 1), "words capped at 24 letters, got 25"),
+            ((15, 3), "3^15 words exceed the cap of 10000000"),
+            ((1, 10**100), f"{10**100}^1 words exceed the cap of 10000000"),
+        ]:
+            start = time.perf_counter()
+            with pytest.raises(CapacityError) as exc:
+                call(*args)
+            assert time.perf_counter() - start < 0.1, (call, args)
+            assert str(exc.value) == message
+        with pytest.raises(DomainError):
+            call(0, 2)
+    assert word_flags(24, 1)[0] == 0

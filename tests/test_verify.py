@@ -1,10 +1,11 @@
 """Each whole-table check names the table that differs and the first set
 where it differs, so a planted off-by-one points at its own table; the
-closed-form check names the direction that differs."""
+closed-form check names the direction that differs, and each word check
+names the first word, type or alphabet where a planted bug shows."""
 
 import pytest
 
-from descyc import cyclic, linear, patterns, verify
+from descyc import cyclic, linear, lyndon, oracle, patterns, verify
 
 PLANTS = [
     (cyclic, "beta_cyc_table", {
@@ -48,3 +49,73 @@ def test_closed_form_mismatch_names_its_direction(monkeypatch):
     result = verify._check_closed_forms(6)
     assert not result.ok
     assert result.witness == "decr: closed form 59 != family sum 58"
+
+
+def test_duval_with_a_strict_comparison_fails_the_factorization_laws(monkeypatch):
+    def planted(word):
+        # lyndon.lyndon_factorize with w[k] <= w[j] changed to w[k] < w[j]
+        w = tuple(word)
+        factors = []
+        i, n = 0, len(w)
+        while i < n:
+            j, k = i + 1, i
+            while j < n and w[k] < w[j]:
+                k = i if w[k] < w[j] else k + 1
+                j += 1
+            while i <= k:
+                factors.append(w[i:i + j - k])
+                i += j - k
+        return factors
+
+    monkeypatch.setattr(lyndon, "lyndon_factorize", planted)
+    assert verify._check_factorization_laws(2).ok
+    result = verify._check_factorization_laws(3)
+    assert not result.ok
+    assert result.witness == "word=(1, 1, 2)"
+
+
+@pytest.fixture
+def fresh_word_counts():
+    # the planted fillings below must not be served from, or left in, the memo
+    lyndon._words_by_type.cache_clear()
+    yield
+    lyndon._words_by_type.cache_clear()
+
+
+def test_fillings_off_by_one_fails_the_word_counts(monkeypatch, fresh_word_counts):
+    def planted(rho, caps):
+        # lyndon._fillings with cap >= part changed to cap > part
+        if not rho:
+            return 1
+        part, rest = rho[0], rho[1:]
+        letters = {}
+        for cap in caps:
+            if cap > part:
+                letters[cap] = letters.get(cap, 0) + 1
+        total = 0
+        for cap, copies in letters.items():
+            left = list(caps)
+            left.remove(cap)
+            left.append(cap - part)
+            total += copies * planted(rest, tuple(sorted(filter(None, left), reverse=True)))
+        return total
+
+    monkeypatch.setattr(lyndon, "_fillings", planted)
+    result = verify._check_word_counts(3)
+    assert not result.ok
+    assert result.witness == "type=(1, 1, 1) ev=(3,) q=1"
+
+
+def test_a_periodic_word_flagged_primitive_fails_the_primitive_words(monkeypatch):
+    flags = oracle.word_flags
+
+    def planted(length, q):
+        table = bytearray(flags(length, q))
+        table[0] |= oracle.PRIMITIVE  # the word 1^length, a power at length > 1
+        return table
+
+    monkeypatch.setattr(oracle, "word_flags", planted)
+    assert verify._check_primitive_words(1).ok
+    result = verify._check_primitive_words(4)
+    assert not result.ok
+    assert result.witness == "q=1: 1 != 4 * 0"
