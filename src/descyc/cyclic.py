@@ -7,6 +7,11 @@ multiples of k).  This module only counts: the identities tying these
 formulas to each other and to enumeration are stated and checked in
 ``verify``.  All divisions by n check the remainder: the integrality is a
 theorem, so a nonzero remainder means a bug and aborts loudly.
+
+The multiples-of-k forms read the generalized zigzag numbers from
+``linear.generalized_euler``, one prefix DP per k, while ``beta_cyc_mask``
+runs the pointwise ``beta`` DP at each quotient set, so the ``verify``
+check "kz cycles vs beta_cyc" computes each value twice, by two routes.
 """
 
 from __future__ import annotations

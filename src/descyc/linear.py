@@ -232,10 +232,35 @@ def kz_set(n: int, k: int) -> DescentSet:
     return DescentSet(n, kz_mask(n, k))
 
 
-# Largest n served by generalized_euler: the beta DP at n = 2000 takes
-# about 1.2 to 1.4 s on one core (k = 2 and 3), and its cost grows with
-# the cube of n.
+# Largest n served by generalized_euler.  Each k keeps one rank-prefix
+# DP: built cold up to n = 2000 it takes about 1.5 s on one core (k = 2
+# and 3, as long as one pointwise beta DP at n = 2000), and then holds
+# about 7 MB (k = 2; 3.4 MB at k = 100), the rank-prefix vector and the
+# terms.  The build's cost grows with the cube of n.
 GENERALIZED_EULER_CAP = 2000
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _generalized_euler_terms(k: int):
+    """generalized_euler(n, k) for every n up to the cap, from one DP.
+
+    kz_mask(n, k) is a prefix of kz_mask(n', k) for every n' > n, so the
+    rank-prefix vector of the beta DP after n - 1 steps serves every
+    n' >= n, and its sum is the term at n.  That sum is read off the next
+    step: each arrangement of the prefix extends exactly once by a new
+    minimum after a descent (the first entry) or a new maximum after an
+    ascent (the last entry), so no term sums the vector again.
+    """
+    @capped_sequence("generalized zigzag numbers", GENERALIZED_EULER_CAP)
+    def terms(values):
+        psi = [1]
+        yield 1  # index 0 by convention
+        for pos in itertools.count(1):
+            descent = pos % k == 0
+            psi = psi_step(psi, descent)
+            yield psi[0] if descent else psi[-1]
+
+    return terms
 
 
 def generalized_euler(n: int, k: int) -> Count:
@@ -248,4 +273,6 @@ def generalized_euler(n: int, k: int) -> Count:
     if n > GENERALIZED_EULER_CAP:
         raise CapacityError(
             f"generalized zigzag capped at n = {GENERALIZED_EULER_CAP}, got {n}")
-    return beta_mask(n, kz_mask(n, k))
+    if k >= n:
+        return 1  # no multiple of k lies below n: only the identity
+    return _generalized_euler_terms(k)(n)

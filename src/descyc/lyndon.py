@@ -44,7 +44,6 @@ from .core import (
     composition_of,
     divisors,
     exact_div,
-    mask_elements,
     mobius_sum,
     signed_submask_sum,
     square_free_divisors,
@@ -83,15 +82,16 @@ class Partition:
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, parts descending, in lexicographic order."""
     out: list[Partition] = []
-
-    def build(remaining: int, cap: int, prefix: tuple[int, ...]) -> None:
+    # (remaining, largest part allowed, prefix); the largest next part is
+    # pushed last, so it is taken first
+    stack = [(n, n, ())]
+    while stack:
+        remaining, cap, prefix = stack.pop()
         if remaining == 0:
             out.append(Partition(prefix))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            build(remaining - part, part, prefix + (part,))
-
-    build(n, n, ())
+            continue
+        for part in range(1, min(cap, remaining) + 1):
+            stack.append((remaining - part, part, prefix + (part,)))
     return out
 
 
@@ -274,8 +274,17 @@ def _words_by_type(lam: Partition, ev: tuple[int, ...]) -> Count:
 
 def _sorted_parts(n: int, mask: int) -> tuple[int, ...]:
     # the parts of the composition of mask, sorted: the word-count memo key
-    cuts = (0, *mask_elements(mask), n)
-    return tuple(sorted([b - a for a, b in zip(cuts, cuts[1:])], reverse=True))
+    parts = []
+    prev = 0
+    while mask:
+        low = mask & -mask
+        cut = low.bit_length()
+        parts.append(cut - prev)
+        prev = cut
+        mask ^= low
+    parts.append(n - prev)
+    parts.sort(reverse=True)
+    return tuple(parts)
 
 
 def type_descent_table(lam: Partition) -> list[Count]:

@@ -4,9 +4,17 @@ import random
 import pytest
 
 from conftest import assert_passed
-from descyc import verify
-from descyc.core import TABLE_CACHE_MAX_N, CapacityError, DescentSet, DomainError
+from descyc import linear, verify
+from descyc.core import (
+    MEMO_SIZE,
+    TABLE_CACHE_MAX_N,
+    CapacityError,
+    DescentSet,
+    DomainError,
+)
+from descyc.cyclic import kz_cycles
 from descyc.linear import (
+    GENERALIZED_EULER_CAP,
     ZIGZAG_CAP,
     Strategy,
     alpha,
@@ -130,6 +138,40 @@ def test_generalized_euler():
             assert generalized_euler(n, k) == beta(kz_set(n, k))
     with pytest.raises(DomainError):
         generalized_euler(0, 2)
+
+
+def test_generalized_euler_matches_inclusion_exclusion():
+    # inclusion-exclusion shares no code with linear.psi_step
+    for n in range(1, 12):
+        for k in range(1, n + 3):
+            assert generalized_euler(n, k) == beta_mask(
+                n, kz_mask(n, k), Strategy.INCLUSION_EXCLUSION), (n, k)
+
+
+def test_generalized_euler_in_any_order():
+    # descending order builds each sequence at its longest first; shuffled
+    # and ascending orders extend sequences part-way, again and again
+    pairs = [(n, k) for n in range(1, 65) for k in range(1, n + 3)]
+    shuffled = pairs[:]
+    random.Random(23).shuffle(shuffled)
+    for order in (pairs[::-1], shuffled, pairs):
+        linear._generalized_euler_terms.cache_clear()
+        for n, k in order:
+            assert generalized_euler(n, k) == beta_mask(n, kz_mask(n, k)), (n, k)
+
+
+def test_generalized_euler_builds_no_sequence_it_does_not_need():
+    terms = linear._generalized_euler_terms
+    terms.cache_clear()
+    empty = (0, 0, MEMO_SIZE, 0)  # hits, misses, maxsize, currsize
+    for n, k in [(1, 1), (5, 5), (5, 7), (GENERALIZED_EULER_CAP,) * 2]:
+        assert generalized_euler(n, k) == 1
+    assert kz_cycles(GENERALIZED_EULER_CAP, GENERALIZED_EULER_CAP) == 0
+    assert terms.cache_info() == empty
+    for count in (generalized_euler, kz_cycles):
+        with pytest.raises(CapacityError):
+            count(GENERALIZED_EULER_CAP + 1, 2)
+    assert terms.cache_info() == empty
 
 
 def test_staircase_pair_identity():

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -10,6 +12,7 @@ from descyc.core import (
     CapacityError,
     DescentSet,
     DomainError,
+    mask_elements,
     square_free_divisors,
 )
 from descyc.cyclic import alpha_cyc_mask, beta_cyc_mask, beta_cyc_table
@@ -42,6 +45,45 @@ def test_partition_type():
         Partition((1, 2))
     with pytest.raises(DomainError):
         Partition((0,))
+
+
+def _partitions_reference(n):
+    # the former recursive definition; its closure refers to itself
+    out = []
+
+    def build(remaining, cap, prefix):
+        if remaining == 0:
+            out.append(prefix)
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            build(remaining - part, part, prefix + (part,))
+
+    build(n, n, ())
+    return out
+
+
+def test_partitions_of_matches_recursive_reference():
+    for n in range(1, 21):
+        assert [p.parts for p in partitions_of(n)] == _partitions_reference(n), n
+
+
+def test_partitions_of_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        partitions_of(12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_sorted_parts_matches_composition():
+    for n in range(1, 13):
+        for mask in range(1 << (n - 1)):
+            cuts = (0, *mask_elements(mask), n)
+            expected = tuple(sorted((b - a for a, b in zip(cuts, cuts[1:])),
+                                    reverse=True))
+            assert lyndon._sorted_parts(n, mask) == expected, (n, mask)
 
 
 def test_factorization_examples():
@@ -91,13 +133,13 @@ def test_primitive_words_are_n_times_lyndon_words():
 def test_count_lyndon_matches_direct_enumeration():
     for n in range(1, 9):
         for q in (1, 2, 3):
+            direct = Counter(
+                evaluation(w, q) for w in itertools.product(range(1, q + 1), repeat=n)
+                if is_lyndon_slow(w))
             for ev in itertools.product(range(n + 1), repeat=q):
                 if sum(ev) != n:
                     continue
-                direct = sum(
-                    1 for w in itertools.product(range(1, q + 1), repeat=n)
-                    if is_lyndon_slow(w) and evaluation(w, q) == ev)
-                assert count_lyndon(n, ev) == direct, (n, ev)
+                assert count_lyndon(n, ev) == direct[ev], (n, ev)
 
 
 def test_necklace_totals():
