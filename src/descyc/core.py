@@ -60,6 +60,7 @@ def capped_sequence(name: str, cap: int):
     terms built so far (a_0..a_{m-1} as it resumes for a_m) and yields the
     terms in order, each once.  The result is a function of n that raises
     DomainError below 0, and CapacityError above cap before any term is built.
+    The generator is closed once the term at the cap is built.
     """
     def decorate(terms):
         values: list = []
@@ -72,6 +73,8 @@ def capped_sequence(name: str, cap: int):
                 raise CapacityError(f"{name} capped at n = {cap}, got {n}")
             while len(values) <= n:
                 values.append(next(steps))
+                if len(values) > cap:
+                    steps.close()  # the last term is built: free the generator's state
             return values[n]
 
         functools.update_wrapper(term, terms)

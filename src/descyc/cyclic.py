@@ -8,7 +8,8 @@ formulas to each other and to enumeration are stated and checked in
 ``verify``.  All divisions by n check the remainder: the integrality is a
 theorem, so a nonzero remainder means a bug and aborts loudly.
 
-The multiples-of-k forms read the generalized zigzag numbers from
+The multiples-of-k forms, and the alternating ones through
+``linear.euler_zigzag`` (k = 2), read the generalized zigzag numbers from
 ``linear.generalized_euler``, one prefix DP per k, while ``beta_cyc_mask``
 runs the pointwise ``beta`` DP at each quotient set, so the ``verify``
 check "kz cycles vs beta_cyc" computes each value twice, by two routes.

@@ -6,7 +6,9 @@ so that one can validate the other: a rank-prefix dynamic program, and
 inclusion-exclusion over subsets of multinomial coefficients.  Whole
 tables take a third route that shares no code with either, the top-bit
 recurrence beta_n(S u {k}) = C(n, k) * beta_k(S) - beta_n(S) for S inside
-[k-1]; the tests compare it with the dynamic program.
+[k-1]; the tests compare it with the dynamic program.  The zigzag
+numbers are the generalized zigzags at k = 2, read from their sequence;
+the tests check them against the other two routes.
 """
 
 from __future__ import annotations
@@ -201,25 +203,6 @@ def eulerian(n: int, k: int) -> Count:
     return power_sum(n, power_terms(k, ((1, n),)))
 
 
-# Largest n served by euler_zigzag: the table up to here builds in about 2 s
-# on one core, and the cost grows with the cube of n.
-ZIGZAG_CAP = 2000
-
-
-@capped_sequence("zigzag numbers", ZIGZAG_CAP)
-def euler_zigzag(values):
-    """Alternating (up-down) permutations of n; index 0 is 1 by convention.
-
-    Raises CapacityError above ZIGZAG_CAP.
-    """
-    # Boustrophedon: each row is built by summing the previous row reversed.
-    row = [1]
-    yield 1
-    while True:
-        row = [0, *itertools.accumulate(reversed(row))]
-        yield row[-1]
-
-
 def kz_mask(n: int, k: int) -> int:
     """Mask of the multiples of k inside {1, ..., n-1}."""
     mask = 0
@@ -232,11 +215,11 @@ def kz_set(n: int, k: int) -> DescentSet:
     return DescentSet(n, kz_mask(n, k))
 
 
-# Largest n served by generalized_euler.  Each k keeps one rank-prefix
-# DP: built cold up to n = 2000 it takes about 1.5 s on one core (k = 2
-# and 3, as long as one pointwise beta DP at n = 2000), and then holds
-# about 7 MB (k = 2; 3.4 MB at k = 100), the rank-prefix vector and the
-# terms.  The build's cost grows with the cube of n.
+# Largest n served by generalized_euler and euler_zigzag.  Each k keeps
+# one rank-prefix DP: built cold up to n = 2000 it takes about 1.5 s on
+# one core (k = 2 and 3, as long as one pointwise beta DP at n = 2000).
+# Once the term at the cap is built the DP is dropped and only the terms
+# stay, about 2.3 MB at k = 2.  The build's cost grows with the cube of n.
 GENERALIZED_EULER_CAP = 2000
 
 
@@ -276,3 +259,15 @@ def generalized_euler(n: int, k: int) -> Count:
     if k >= n:
         return 1  # no multiple of k lies below n: only the identity
     return _generalized_euler_terms(k)(n)
+
+
+def euler_zigzag(n: int) -> Count:
+    """Alternating (up-down) permutations of n, generalized_euler(n, 2);
+    index 0 is 1 by convention.  Raises CapacityError above
+    GENERALIZED_EULER_CAP before any work."""
+    if n < 0:
+        raise DomainError(f"zigzag numbers needs n >= 0, got {n}")
+    if n > GENERALIZED_EULER_CAP:
+        raise CapacityError(
+            f"zigzag numbers capped at n = {GENERALIZED_EULER_CAP}, got {n}")
+    return generalized_euler(n, 2) if n else 1

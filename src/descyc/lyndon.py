@@ -41,7 +41,6 @@ from .core import (
     DescentSet,
     DomainError,
     InvariantViolation,
-    composition_of,
     divisors,
     exact_div,
     mobius_sum,
@@ -321,7 +320,7 @@ def count_by_type_and_descents(lam: Partition, I: DescentSet, exact: bool = True
     if lam.n != I.n:
         raise DomainError(f"type size {lam.n} != ambient size {I.n}")
     if not exact:
-        return count_words_by_type(lam, composition_of(I).parts)
+        return _words_by_type(lam, _sorted_parts(I.n, I.mask))
     total = signed_submask_sum(
         I.mask, lambda sub: _words_by_type(lam, _sorted_parts(I.n, sub)))
     if total < 0:

@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
@@ -57,3 +59,30 @@ def test_main_passes_the_trace_flag(tmp_path):
     tool = _load_tool()
     assert tool.main(args) == 10
     assert tool.main([*args, "--trace", "1"]) == 11
+
+
+def _git(root, *args):
+    return subprocess.run(["git", "-C", str(root), "-c", "user.name=t",
+                           "-c", "user.email=t@t", *args],
+                          check=True, capture_output=True).stdout
+
+
+def test_source_state_names_the_measured_tree(tmp_path):
+    tool = _load_tool()
+    (tmp_path / "a.txt").write_text("one\n")
+    # no .git: nothing to name
+    assert tool.source_state(tmp_path) == {"rev": None, "dirty": None, "diff_sha256": None}
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "a.txt")
+    _git(tmp_path, "commit", "-q", "-m", "one")
+    head = _git(tmp_path, "rev-parse", "HEAD").decode().strip()
+    empty = hashlib.sha256(b"").hexdigest()
+    assert tool.source_state(tmp_path) == {"rev": head, "dirty": False, "diff_sha256": empty}
+    hashes = set()
+    for text in ("two\n", "three\n"):
+        (tmp_path / "a.txt").write_text(text)
+        state = tool.source_state(tmp_path)
+        diff = hashlib.sha256(_git(tmp_path, "diff", "HEAD")).hexdigest()
+        assert state == {"rev": head, "dirty": True, "diff_sha256": diff}
+        hashes.add(diff)
+    assert len(hashes) == 2 and empty not in hashes  # the hash follows the diff

@@ -286,6 +286,12 @@ def test_every_name_refuses_hostile_input(capsys):
 def test_new_caps_answer_at_the_cap(capsys):
     # over each cap the input is refused; at the cap it is still answered
     for argv, message in [
+        (("compute", "euler", "--n", "2001"), "zigzag numbers capped at n = 2000, got 2001"),
+        (("compute", "alt-cycles", "--n", "2001"),
+         "zigzag numbers capped at n = 2000, got 2001"),
+        (("sequence", "euler", "--max-n", "2001"),
+         "zigzag numbers capped at n = 2000, got 2001"),
+        (("compute", "euler", "--n", "-1"), "zigzag numbers needs n >= 0, got -1"),
         (("compute", "euler-k", "--n", "2001", "--k", "2001"),
          "generalized zigzag capped at n = 2000, got 2001"),
         (("compute", "kz-cycles", "--n", "2001", "--k", "2001"),
@@ -312,6 +318,10 @@ def test_new_caps_answer_at_the_cap(capsys):
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out.strip()) == (0, expected), (argv, err)
+    # the zigzag numbers are the generalized zigzag numbers at k = 2
+    code, zigzag, _ = run_cli(capsys, "compute", "euler", "--n", "2000")
+    assert code == 0 and zigzag.strip()
+    assert run_cli(capsys, "compute", "euler-k", "--n", "2000", "--k", "2") == (0, zigzag, "")
 
 
 def test_compute_beyond_digit_limit(capsys):

@@ -100,6 +100,24 @@ def test_capped_sequence_builds_each_term_once():
     assert squares(20) == 400 and stepped == list(range(21))
 
 
+def test_capped_sequence_closes_its_generator_at_the_cap():
+    closed = []
+
+    @capped_sequence("ones", 5)
+    def ones(values):
+        try:
+            while True:
+                yield 1
+        finally:
+            closed.append(len(values))
+
+    assert ones(4) == 1 and closed == []
+    assert ones(5) == 1 and closed == [6]  # run once all six terms were stored
+    assert [ones(n) for n in range(6)] == [1] * 6 and closed == [6]
+    with pytest.raises(CapacityError, match="ones capped at n = 5, got 6"):
+        ones(6)
+
+
 def test_divisors():
     assert divisors(1) == [1]
     assert divisors(6) == [1, 2, 3, 6]

@@ -24,7 +24,7 @@ def test_backticked_names_resolve():
 
 
 def test_readme_cap_figures_match_the_constants():
-    # "n = 2000, `linear.ZIGZAG_CAP`" and "10^7 (`linear.POWER_SUM_CAP`":
+    # "n = 2000, `linear.GENERALIZED_EULER_CAP`" and "10^7 (`linear.POWER_SUM_CAP`":
     # the figure next to each cited cap is the constant's value
     text = " ".join((ROOT / "README.md").read_text().split())
     cited = re.findall(r"`\w+\.\w+_CAP`", text)

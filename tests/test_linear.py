@@ -15,7 +15,6 @@ from descyc.core import (
 from descyc.cyclic import kz_cycles
 from descyc.linear import (
     GENERALIZED_EULER_CAP,
-    ZIGZAG_CAP,
     Strategy,
     alpha,
     alpha_mask,
@@ -121,12 +120,14 @@ def test_euler_zigzag():
     with pytest.raises(DomainError):
         euler_zigzag(-1)
     with pytest.raises(CapacityError):
-        euler_zigzag(ZIGZAG_CAP + 1)
+        euler_zigzag(GENERALIZED_EULER_CAP + 1)
 
 
 def test_zigzag_matches_beta():
+    # inclusion-exclusion shares no code with the sequence's rank-prefix step
     for n in range(1, 15):
-        assert euler_zigzag(n) == beta_mask(n, kz_mask(n, 2)), n
+        assert euler_zigzag(n) == beta_mask(
+            n, kz_mask(n, 2), Strategy.INCLUSION_EXCLUSION), n
 
 
 def test_generalized_euler():

@@ -12,13 +12,17 @@ checkout's src/ is byte-compiled first, so a fresh copy and a working tree
 both run from cached bytecode.  Writes the metric lines, the error-rate
 line, the run record and the result JSON that run.py prints to
 BENCH_<label>.json at the root of this repository, and exits with run.py's
-exit code; nothing is written when run.py fails.
+exit code; nothing is written when run.py fails.  The file's "source" names
+the tree that was measured: the checkout's HEAD, whether ``git status
+--porcelain`` listed anything, and the SHA-256 of ``git diff HEAD`` (all
+null when --root is not the top of a git checkout).
 """
 
 from __future__ import annotations
 
 import argparse
 import compileall
+import hashlib
 import json
 import subprocess
 import sys
@@ -43,6 +47,27 @@ def parse_output(text: str) -> dict:
     return doc
 
 
+def _git(root: Path, *args: str):
+    """git's stdout in root, or None when git fails or is missing."""
+    try:
+        done = subprocess.run(["git", "-C", str(root), *args], capture_output=True)
+    except OSError:
+        return None
+    return done.stdout if done.returncode == 0 else None
+
+
+def source_state(root: Path) -> dict:
+    """The commit of the checkout at root, whether its tree differs from
+    that commit, and a hash of the difference; nulls outside a checkout."""
+    top_rev = (_git(root, "rev-parse", "--show-toplevel", "HEAD") or b"").decode().splitlines()
+    if len(top_rev) != 2 or Path(top_rev[0]).resolve() != root.resolve():
+        return {"rev": None, "dirty": None, "diff_sha256": None}
+    diff = _git(root, "diff", "HEAD")
+    return {"rev": top_rev[1],
+            "dirty": bool(_git(root, "status", "--porcelain")),
+            "diff_sha256": None if diff is None else hashlib.sha256(diff).hexdigest()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
@@ -56,6 +81,7 @@ def main(argv=None) -> int:
         parser.error(f"label must be letters, digits, '_' or '-': {args.label!r}")
     root = args.root.resolve()
     seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    source = source_state(root)
     compileall.compile_dir(root / "src", quiet=1)
     cmd = ["perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(seconds), "--trace", str(args.trace)]
@@ -64,7 +90,8 @@ def main(argv=None) -> int:
     if done.returncode != 0:
         print(f"bench_record: run.py exited with code {done.returncode}", file=sys.stderr)
         return done.returncode
-    doc = {"label": args.label, "command": ["python3", *cmd], **parse_output(done.stdout)}
+    doc = {"label": args.label, "command": ["python3", *cmd], "source": source,
+           **parse_output(done.stdout)}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {out.name}")
