@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import asymptotics, cyclic, linear, lyndon, oracle, patterns, verify
-from .core import CapacityError, DescentSet, DomainError, csv_field
+from .core import DescentSet, DomainError, check_size, csv_field
 
 GOLDEN_DEFAULT_MAX_N = 6
 
@@ -234,9 +234,7 @@ def _sequence_rows(name: str, max_n: int) -> list[tuple[int, ...]]:
     if name == "eulerian-cyc-row":
         # the largest row's (max_n, max_n) fails here, before the first row
         linear.check_power_sum("cyclic eulerian", max_n, max_n)
-        if max_n > EULERIAN_CYC_ROW_CAP:
-            raise CapacityError(
-                f"eulerian-cyc-row capped at n = {EULERIAN_CYC_ROW_CAP}, got {max_n}")
+        check_size("eulerian-cyc-row", max_n, 1, EULERIAN_CYC_ROW_CAP)
         return [
             (n, k, value)
             for n in range(1, max_n + 1)

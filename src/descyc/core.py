@@ -42,6 +42,15 @@ class InvariantViolation(RuntimeError):
     """A proven identity failed to hold: an implementation bug, not bad input."""
 
 
+def check_size(what: str, n: int, least: int, cap: float) -> None:
+    """Refuse n below least (DomainError) or above cap (CapacityError),
+    before any work that grows with n."""
+    if n < least:
+        raise DomainError(f"{what} needs n >= {least}, got {n}")
+    if n > cap:
+        raise CapacityError(f"{what} capped at n = {cap}, got {n}")
+
+
 def small_table_cache(build):
     """Memoize a builder of whole per-ambient tables for n <= TABLE_CACHE_MAX_N."""
     cached = functools.lru_cache(maxsize=None)(build)
@@ -67,10 +76,7 @@ def capped_sequence(name: str, cap: int):
         steps = terms(values)
 
         def term(n: int):
-            if n < 0:
-                raise DomainError(f"{name} needs n >= 0, got {n}")
-            if n > cap:
-                raise CapacityError(f"{name} capped at n = {cap}, got {n}")
+            check_size(name, n, 0, cap)
             while len(values) <= n:
                 values.append(next(steps))
                 if len(values) > cap:
@@ -85,10 +91,13 @@ def capped_sequence(name: str, cap: int):
 
 
 def exact_div(total: int, n: int, what: str) -> int:
-    """Divide asserting zero remainder; the integrality is a theorem."""
+    """total / n, which is a count: the integrality and the sign are
+    theorems, so a remainder or a negative quotient is a bug."""
     q, r = divmod(total, n)
     if r:
         raise InvariantViolation(f"{what}: {total} not divisible by {n}")
+    if q < 0:
+        raise InvariantViolation(f"{what} negative: {total} / {n}")
     return q
 
 
@@ -327,19 +336,27 @@ class Composition:
         return Composition(tuple(p // d for p in self.parts))
 
 
-def composition_of(I: DescentSet) -> Composition:
-    """The gap sequence of I within its ambient n.
+def gap_parts(n: int, mask: int) -> tuple[int, ...]:
+    """The gap sequence of a raw mask within ambient n.
 
-    {i1 < i2 < ...} maps to (i1, i2 - i1, ..., n - i_last); the empty set
+    {i1 < i2 < ...} maps to (i1, i2 - i1, ..., n - i_last); the empty mask
     maps to the single part (n).
     """
     parts = []
     prev = 0
-    for i in I.elements():
-        parts.append(i - prev)
-        prev = i
-    parts.append(I.n - prev)
-    return Composition(tuple(parts))
+    while mask:
+        low = mask & -mask
+        cut = low.bit_length()
+        parts.append(cut - prev)
+        prev = cut
+        mask ^= low
+    parts.append(n - prev)
+    return tuple(parts)
+
+
+def composition_of(I: DescentSet) -> Composition:
+    """The gap sequence of I within its ambient n, as a Composition."""
+    return Composition(gap_parts(I.n, I.mask))
 
 
 def set_of(mu: Composition) -> DescentSet:

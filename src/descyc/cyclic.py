@@ -5,8 +5,9 @@ Every formula here reduces cycle counts to the all-permutation counts of
 specialize to for structured descent sets (Eulerian-by-count, alternating,
 multiples of k).  This module only counts: the identities tying these
 formulas to each other and to enumeration are stated and checked in
-``verify``.  All divisions by n check the remainder: the integrality is a
-theorem, so a nonzero remainder means a bug and aborts loudly.
+``verify``.  Every division by n is ``core.exact_div``, which checks the
+remainder and the sign: both are theorems, so a nonzero remainder or a
+negative count means a bug and aborts loudly.
 
 The multiples-of-k forms, and the alternating ones through
 ``linear.euler_zigzag`` (k = 2), read the generalized zigzag numbers from
@@ -23,11 +24,10 @@ from operator import mul, neg
 
 from .core import (
     MEMO_SIZE,
-    CapacityError,
     Count,
     DescentSet,
     DomainError,
-    InvariantViolation,
+    check_size,
     exact_div,
     mask_gcd,
     mobius_sum,
@@ -87,14 +87,6 @@ def signed_divisor_table(n: int, terms) -> list[int]:
     return list(map(sum, zip(*columns)))
 
 
-def _cycle_count(total: int, n: int, what: str) -> Count:
-    """total / n, which counts n-cycles: a remainder or a negative is a bug."""
-    value = exact_div(total, n, what)
-    if value < 0:
-        raise InvariantViolation(f"{what} negative: {total} / {n}")
-    return value
-
-
 def alpha_cyc_mask(n: int, mask: int) -> Count:
     total = mobius_sum(mask_gcd(n, mask), lambda d: (
         alpha_mask(n // d, quotient_mask(mask, d, n))))
@@ -108,7 +100,7 @@ def alpha_cyc(I: DescentSet) -> Count:
 
 def beta_cyc_mask(n: int, mask: int) -> Count:
     terms = [(d, mu, partial(beta_mask, n // d)) for d, mu in square_free_divisors(n)]
-    return _cycle_count(signed_divisor_sum(n, mask, terms), n, "beta_cyc")
+    return exact_div(signed_divisor_sum(n, mask, terms), n, "beta_cyc")
 
 
 def beta_cyc(I: DescentSet) -> Count:
@@ -122,7 +114,7 @@ def beta_cyc_table(n: int) -> list[Count]:
     terms = [(d, mu, beta_table(n // d).__getitem__)
              for d, mu in square_free_divisors(n)]
     totals = signed_divisor_table(n, terms)
-    return [_cycle_count(total, n, "beta_cyc") for total in totals]
+    return [exact_div(total, n, "beta_cyc") for total in totals]
 
 
 def _eulerian_powers(n: int, k: int) -> list[int]:
@@ -141,20 +133,19 @@ def cyclic_eulerian(n: int, k: int) -> Count:
     exceeds linear.POWER_SUM_CAP, before any power or divisor is computed.
     """
     check_power_sum("cyclic eulerian", n, k)
-    return _cycle_count(power_sum(n, _eulerian_powers(n, k)), n, "cyclic_eulerian")
+    return exact_div(power_sum(n, _eulerian_powers(n, k)), n, "cyclic_eulerian")
 
 
 def cyclic_eulerian_row(n: int) -> list[Count]:
     """cyclic_eulerian(n, k) for k = 1..n, from one list of powers."""
     check_power_sum("cyclic eulerian", n, n)
     totals = power_sum_row(n, _eulerian_powers(n, n))
-    return [_cycle_count(total, n, "cyclic_eulerian") for total in totals]
+    return [exact_div(total, n, "cyclic_eulerian") for total in totals]
 
 
 def alternating_cycles(n: int) -> Count:
     """n-cycles whose descent set is the even positions (up-down cycles)."""
-    if n < 1:
-        raise DomainError(f"alternating cycles needs n >= 1, got {n}")
+    check_size("alternating cycles", n, 1, math.inf)
     euler_zigzag(n)  # every branch reads E_n: refuses an over-cap n first
     if n % 2 == 1:
         total = mobius_sum(n, lambda d: (
@@ -201,8 +192,7 @@ def kz_cycles(n: int, k: int) -> Count:
     """
     if n < 1 or k < 1:
         raise DomainError(f"kz cycles needs n, k >= 1, got {n}, {k}")
-    if n > GENERALIZED_EULER_CAP:
-        raise CapacityError(f"kz cycles capped at n = {GENERALIZED_EULER_CAP}, got {n}")
+    check_size("kz cycles", n, 1, GENERALIZED_EULER_CAP)
     base = (n - 1) // k
     total = mobius_sum(n, lambda d: (
         (-1 if (base - (n - d) // math.lcm(k, d)) & 1 else 1)

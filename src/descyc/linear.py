@@ -26,6 +26,7 @@ from .core import (
     DomainError,
     MEMO_SIZE,
     capped_sequence,
+    check_size,
     signed_submask_sum,
     small_table_cache,
 )
@@ -253,9 +254,7 @@ def generalized_euler(n: int, k: int) -> Count:
     """
     if n < 1 or k < 1:
         raise DomainError(f"generalized zigzag needs n, k >= 1, got {n}, {k}")
-    if n > GENERALIZED_EULER_CAP:
-        raise CapacityError(
-            f"generalized zigzag capped at n = {GENERALIZED_EULER_CAP}, got {n}")
+    check_size("generalized zigzag", n, 1, GENERALIZED_EULER_CAP)
     if k >= n:
         return 1  # no multiple of k lies below n: only the identity
     return _generalized_euler_terms(k)(n)
@@ -265,9 +264,5 @@ def euler_zigzag(n: int) -> Count:
     """Alternating (up-down) permutations of n, generalized_euler(n, 2);
     index 0 is 1 by convention.  Raises CapacityError above
     GENERALIZED_EULER_CAP before any work."""
-    if n < 0:
-        raise DomainError(f"zigzag numbers needs n >= 0, got {n}")
-    if n > GENERALIZED_EULER_CAP:
-        raise CapacityError(
-            f"zigzag numbers capped at n = {GENERALIZED_EULER_CAP}, got {n}")
+    check_size("zigzag numbers", n, 0, GENERALIZED_EULER_CAP)
     return generalized_euler(n, 2) if n else 1

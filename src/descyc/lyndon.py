@@ -36,13 +36,14 @@ from typing import Iterator, Sequence
 from . import linear
 from .core import (
     MEMO_SIZE,
-    CapacityError,
     Count,
     DescentSet,
     DomainError,
     InvariantViolation,
+    check_size,
     divisors,
     exact_div,
+    gap_parts,
     mobius_sum,
     signed_submask_sum,
     square_free_divisors,
@@ -165,8 +166,7 @@ def count_lyndon(n: int, mu: Sequence[int]) -> Count:
     ev = _normalize_evaluation(mu)
     if sum(ev) != n or n < 1:
         raise DomainError(f"evaluation {tuple(mu)} does not sum to {n}")
-    if n > LYNDON_CAP:
-        raise CapacityError(f"Lyndon counts capped at n = {LYNDON_CAP}, got {n}")
+    check_size("Lyndon counts", n, 1, LYNDON_CAP)
     total = mobius_sum(math.gcd(*ev), lambda d: (
         linear.multinomial(n // d, (m // d for m in ev if m))))
     return exact_div(total, n, "count_lyndon")
@@ -245,17 +245,12 @@ def _fillings(rho: tuple[int, ...], caps: tuple[int, ...]) -> int:
     return total
 
 
-def _check_type_cap(lam: Partition) -> None:
-    if lam.n > TYPE_CAP:
-        raise CapacityError(f"type counts capped at n = {TYPE_CAP}, got {lam.n}")
-
-
 def count_words_by_type(lam: Partition, mu: Sequence[int]) -> Count:
     """Words with Lyndon-factor lengths lam and evaluation mu.
 
     Raises CapacityError above TYPE_CAP, before the evaluation is read.
     """
-    _check_type_cap(lam)
+    check_size("type counts", lam.n, 1, TYPE_CAP)
     ev = _normalize_evaluation(mu)
     if lam.n != sum(ev):
         raise DomainError(
@@ -273,17 +268,7 @@ def _words_by_type(lam: Partition, ev: tuple[int, ...]) -> Count:
 
 def _sorted_parts(n: int, mask: int) -> tuple[int, ...]:
     # the parts of the composition of mask, sorted: the word-count memo key
-    parts = []
-    prev = 0
-    while mask:
-        low = mask & -mask
-        cut = low.bit_length()
-        parts.append(cut - prev)
-        prev = cut
-        mask ^= low
-    parts.append(n - prev)
-    parts.sort(reverse=True)
-    return tuple(parts)
+    return tuple(sorted(gap_parts(n, mask), reverse=True))
 
 
 def type_descent_table(lam: Partition) -> list[Count]:
@@ -296,7 +281,7 @@ def type_descent_table(lam: Partition) -> list[Count]:
     ones, in (n-1) * 2^(n-2) subtractions where inclusion-exclusion set by
     set takes 3^(n-1) terms.  Raises CapacityError above TYPE_CAP.
     """
-    _check_type_cap(lam)
+    check_size("type counts", lam.n, 1, TYPE_CAP)
     n = lam.n
     table = [_words_by_type(lam, _sorted_parts(n, mask))
              for mask in range(1 << (n - 1))]
@@ -316,7 +301,7 @@ def count_by_type_and_descents(lam: Partition, I: DescentSet, exact: bool = True
     contained in I; with exact=True, exactly I (by inclusion-exclusion).
     Raises CapacityError above TYPE_CAP.
     """
-    _check_type_cap(lam)
+    check_size("type counts", lam.n, 1, TYPE_CAP)
     if lam.n != I.n:
         raise DomainError(f"type size {lam.n} != ambient size {I.n}")
     if not exact:

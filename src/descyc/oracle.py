@@ -45,6 +45,7 @@ from .core import (
     CountTable,
     DescentSet,
     DomainError,
+    check_size,
     divisors,
     exact_div,
     mobius,
@@ -110,17 +111,9 @@ def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(lengths)
 
 
-def _check_cap(n: int) -> None:
-    if n < 1:
-        raise DomainError(f"enumeration needs n >= 1, got {n}")
-    if n > ENUMERATION_CAP:
-        raise CapacityError(
-            f"enumeration capped at n = {ENUMERATION_CAP}, got {n}")
-
-
 def enumerate_permutations(n: int) -> Iterator[PermRecord]:
     """All permutations of {1, ..., n} in lexicographic order, streamed."""
-    _check_cap(n)
+    check_size("enumeration", n, 1, ENUMERATION_CAP)
     for perm in itertools.permutations(range(1, n + 1)):
         yield PermRecord(perm, _descent_mask(perm), _cycle_type(perm))
 
@@ -144,7 +137,7 @@ def brute_tables(
     The overall row is the column sum of the per-type rows.  The result is
     memoised per n, so the per-type map is read-only.
     """
-    _check_cap(n)
+    check_size("enumeration", n, 1, ENUMERATION_CAP)
     size = 1 << (n - 1)
     cycle_code = [0] + [(n + 1) ** (cycle - 1) for cycle in range(1, n + 1)]
     rows: defaultdict[int, list[int]] = defaultdict(lambda: [0] * size)
@@ -268,7 +261,7 @@ def brute_avoiders(
     that the first and last steps ascend (so n = 1 never qualifies).
     This walks S_n itself and is the reference for brute_pattern_profile.
     """
-    _check_cap(n)
+    check_size("enumeration", n, 1, ENUMERATION_CAP)
     if k < 2:
         raise DomainError(f"pattern length must be >= 2, got {k}")
     if direction not in ("incr", "decr"):
@@ -303,7 +296,7 @@ def brute_pattern_profile(n: int, k: int) -> dict[str, Count]:
     set, so the counts are read from the per-mask tallies of brute_tables
     instead of a second sweep over S_n.
     """
-    _check_cap(n)
+    check_size("enumeration", n, 1, ENUMERATION_CAP)
     if k < 2:
         raise DomainError(f"pattern length must be >= 2, got {k}")
     betas, n_cycles, _ = brute_tables(n)

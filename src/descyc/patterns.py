@@ -13,11 +13,11 @@ from operator import add, neg
 from typing import Iterator
 
 from .core import (
-    CapacityError,
     MAX_N,
     Count,
     DomainError,
     capped_sequence,
+    check_size,
     divisors,
     exact_div,
     mobius,
@@ -129,34 +129,22 @@ def cycles_avoiding_decr3(n: int) -> Count:
     return exact_div(total, n, "cycles_avoiding_decr3")
 
 
-def bounded_composition_masks(n: int, max_part: int) -> Iterator[int]:
-    """Descent-set masks whose gap compositions have all parts <= max_part.
+def composition_masks(n: int, least: int, most: int) -> Iterator[int]:
+    """Descent-set masks whose gap compositions have every part in
+    [least, most]; at n = 0 the empty composition, mask 0.
 
-    Ascending mask order is not guaranteed; the order is the depth-first
-    composition order, which is deterministic.
+    The order is depth first: a composition comes before those that
+    split its last part, and smaller parts come first.
     """
-    if max_part < 1:
-        return
+    if least < 1:
+        raise DomainError(f"composition parts need least >= 1, got {least}")
     stack = [(0, 0)]
     while stack:
         acc, mask = stack.pop()
         remaining = n - acc
-        if remaining <= max_part:
+        if least <= remaining <= most or not n:
             yield mask
-        top = min(max_part, remaining - 1)
-        for part in range(top, 0, -1):
-            stack.append((acc + part, mask | 1 << (acc + part - 1)))
-
-
-def spaced_composition_masks(n: int, min_part: int = 2) -> Iterator[int]:
-    """Descent-set masks whose gap compositions have all parts >= min_part."""
-    stack = [(0, 0)]
-    while stack:
-        acc, mask = stack.pop()
-        remaining = n - acc
-        if remaining >= min_part:
-            yield mask
-        for part in range(remaining - min_part, min_part - 1, -1):
+        for part in range(min(most, remaining - least), least - 1, -1):
             stack.append((acc + part, mask | 1 << (acc + part - 1)))
 
 
@@ -165,8 +153,7 @@ def _check_run_args(n: int, k: int, direction: str, least_n: int) -> None:
         raise DomainError(f"needs n >= {least_n} and k >= 2, got {n}, {k}")
     if direction not in ("incr", "decr"):
         raise DomainError(f"direction must be incr or decr, got {direction!r}")
-    if n > MAX_N:
-        raise CapacityError(f"monotone-run counts capped at n = {MAX_N}, got {n}")
+    check_size("monotone-run counts", n, least_n, MAX_N)
 
 
 def _run_family_sum(n: int, k: int, d: int, descending: bool) -> int:

@@ -372,9 +372,9 @@ def suite_lyndon(max_n: int) -> list[CheckResult]:
 def _check_pattern_counts(n: int):
     profile = oracle.brute_pattern_profile(n, 3)
     g_beta = sum(linear.beta_mask(n, m)
-                 for m in patterns.bounded_composition_masks(n, 2))
+                 for m in patterns.composition_masks(n, 1, 2))
     gs_beta = sum(linear.beta_mask(n, m)
-                  for m in patterns.spaced_composition_masks(n, 2))
+                  for m in patterns.composition_masks(n, 2, n))
     ok = (patterns.gamma(n) == g_beta == profile["incr"]
           and patterns.gamma_star(n) == gs_beta == profile["decr_boundary"]
           and patterns.cycles_avoiding_incr3(n) == profile["incr_cyc"]

@@ -350,6 +350,11 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "compute", "eulerian-cyc", "--n", "4",
                            "--k", "2")
     assert code == 3 and "ZeroDivisionError" in err
+    # a signed divisor sum that divides exactly but counts below zero
+    generalized_euler = cyclic.generalized_euler
+    monkeypatch.setattr(cyclic, "generalized_euler", lambda n, k: -generalized_euler(n, k))
+    code, out, err = run_cli(capsys, "compute", "kz-cycles", "--n", "6", "--k", "3")
+    assert code == 3 and not out and "InvariantViolation: kz_cycles negative" in err
 
 
 def test_verify_reports_violations_as_failures(capsys, monkeypatch):

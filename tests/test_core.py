@@ -15,6 +15,8 @@ from descyc.core import (
     composition_of,
     descent_gcd,
     divisors,
+    gap_parts,
+    mask_elements,
     mobius,
     mobius_sum,
     set_of,
@@ -209,6 +211,13 @@ def test_composition_codec():
             mu = composition_of(I)
             assert sum(mu.parts) == n
             assert set_of(mu) == I
+    # the mask-level decoder: the differences of the cuts 0 < I < n
+    for n in range(1, 13):
+        for mask in range(1 << (n - 1)):
+            cuts = (0, *mask_elements(mask), n)
+            parts = gap_parts(n, mask)
+            assert parts == tuple(b - a for a, b in zip(cuts, cuts[1:])), (n, mask)
+            assert set_of(Composition(parts)) == DescentSet(n, mask)
     with pytest.raises(DomainError):
         Composition(())
     with pytest.raises(DomainError):

@@ -3,7 +3,8 @@
 ``core.capped_sequence``.  A ``global`` statement, a module-level container
 that a function grows, or an ``lru_cache`` of any other size fails here.
 So does a submask step ``(sub - 1) & mask`` outside ``core.submasks``, the
-one walk of the subset lattice."""
+one walk of the subset lattice, and a size refusal ("capped at n =",
+"needs n >=") written outside ``core.check_size``."""
 
 import ast
 from pathlib import Path
@@ -138,3 +139,54 @@ def test_submask_check_flags_hand_written_walks(tmp_path):
         "def low_bits(p, mask):\n"
         "    return ((1 << p) - 1) & mask, mask & ((1 << p) - 1)\n")
     assert _submask_steps(tmp_path) == {"bad.walk", "bad"}
+
+
+# Refusal texts kept out of core.check_size, each byte for byte, and why.
+KEPT_REFUSALS = {
+    ("asymptotics.__post_init__", "f'{self.describe()} scan capped at n = {cap}'"):
+        "the scan cap names the family and has no ', got'",
+    ("asymptotics.alt_threshold", "f'needs n >= 1, got {n}'"):
+        "no subject before 'needs'",
+    ("patterns.cycles_avoiding_incr3", "f'needs n >= 1, got {n}'"):
+        "no subject before 'needs'",
+    ("patterns.cycles_avoiding_decr3", "f'needs n >= 1, got {n}'"):
+        "no subject before 'needs'",
+    ("patterns._check_run_args", "f'needs n >= {least_n} and k >= 2, got {n}, {k}'"):
+        "names both n and k",
+}
+
+
+def _size_refusals(src: Path = SRC) -> set[tuple[str, str]]:
+    """(function, source text) of each string that holds a size refusal."""
+    found = set()
+    for stem, tree, owners in _modules(src):
+        parts = {id(v) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                 for v in node.values}
+        for node in ast.walk(tree):
+            if id(node) in parts or not isinstance(node, (ast.JoinedStr, ast.Constant)):
+                continue
+            text = ast.unparse(node)
+            if "capped at n =" in text or "needs n >=" in text:
+                found.add((owners.get(id(node), stem), text))
+    return found
+
+
+def test_one_size_refusal():
+    found = {(owner, text) for owner, text in _size_refusals()
+             if owner != "core.check_size"}
+    assert found == set(KEPT_REFUSALS)
+
+
+def test_refusal_check_flags_hand_written_texts(tmp_path):
+    (tmp_path / "bad.py").write_text(
+        "def cap(n):\n"
+        "    if n > 9:\n"
+        "        raise ValueError(f'widgets capped at n = 9, got {n}')\n"
+        "def low(n):\n"
+        "    return 'widgets needs n >= 1'\n"
+        "MESSAGE = 'needs n >= 0'\n"
+        "def fine(n):\n"
+        "    return f'capped at k*n = {n}', 'needs n, k >= 1'\n")
+    assert _size_refusals(tmp_path) == {
+        ("bad.cap", "f'widgets capped at n = 9, got {n}'"),
+        ("bad.low", "'widgets needs n >= 1'"), ("bad", "'needs n >= 0'")}

@@ -5,22 +5,21 @@ import pytest
 
 from conftest import assert_passed
 from descyc import verify
-from descyc.core import CapacityError, DomainError
+from descyc.core import CapacityError, DomainError, gap_parts, mask_elements
 from descyc.cyclic import beta_cyc_mask
 from descyc.linear import beta_mask
 from descyc.oracle import brute_pattern_profile
 from descyc.patterns import (
     GAMMA_CAP,
-    bounded_composition_masks,
     chi,
     chi_star,
+    composition_masks,
     cycles_avoiding_decr3,
     cycles_avoiding_incr3,
     cycles_avoiding_monotone,
     gamma,
     gamma_star,
     monotone_avoiders,
-    spaced_composition_masks,
     theta,
     theta_tilde,
 )
@@ -55,9 +54,9 @@ def test_gamma_sequences():
 def test_gamma_equals_beta_sums():
     for n in range(1, 13):
         assert gamma(n) == sum(
-            beta_mask(n, m) for m in bounded_composition_masks(n, 2))
+            beta_mask(n, m) for m in composition_masks(n, 1, 2))
         assert gamma_star(n) == sum(
-            beta_mask(n, m) for m in spaced_composition_masks(n, 2))
+            beta_mask(n, m) for m in composition_masks(n, 2, n))
 
 
 def test_gamma_matches_oracle():
@@ -70,11 +69,30 @@ def test_gamma_matches_oracle():
 def test_composition_families():
     # compositions of 4 with parts <= 2: (1,1,1,1), (1,1,2), (1,2,1),
     # (2,1,1), (2,2)
-    masks = sorted(bounded_composition_masks(4, 2))
+    masks = sorted(composition_masks(4, 1, 2))
     assert masks == [0b010, 0b011, 0b101, 0b110, 0b111]
-    assert sorted(spaced_composition_masks(4, 2)) == [0b000, 0b010]
-    assert list(spaced_composition_masks(1, 2)) == []
-    assert list(bounded_composition_masks(1, 2)) == [0]
+    assert sorted(composition_masks(4, 2, 4)) == [0b000, 0b010]
+    assert list(composition_masks(1, 2, 1)) == []
+    assert list(composition_masks(1, 1, 2)) == [0]
+    # n = 0 has one composition, the empty one
+    assert [list(composition_masks(0, 1, k)) for k in (1, 2, 5)] == [[0]] * 3
+    # depth first: a composition, then those that split its last part,
+    # smaller parts first; that is ascending order of the members.  Parts
+    # at most b, at least b, and mixed small bounds
+    for n in range(1, 16):
+        masks = sorted(range(1 << (n - 1)), key=mask_elements)
+        parts = [gap_parts(n, mask) for mask in masks]
+        bounds = {*((1, b) for b in range(1, n + 2)), *((b, n) for b in range(1, n + 2)),
+                  *((a, b) for b in range(1, 5) for a in range(1, b + 1))}
+        for least, most in sorted(bounds):
+            expected = [mask for mask, p in zip(masks, parts)
+                        if least <= min(p) and max(p) <= most]
+            assert list(composition_masks(n, least, most)) == expected, (
+                n, least, most)
+    # a part of size 0 would never end the walk
+    for least in (0, -1):
+        with pytest.raises(DomainError, match=f"least >= 1, got {least}"):
+            next(composition_masks(5, least, 2))
 
 
 def test_theta_functions():
@@ -169,7 +187,7 @@ def test_decr_uses_complements():
     for n in range(1, 13):
         full = (1 << (n - 1)) - 1
         for k in range(2, n + 2):
-            masks = list(bounded_composition_masks(n, k - 1))
+            masks = list(composition_masks(n, 1, k - 1))
             for direction, flip in (("incr", 0), ("decr", full)):
                 assert monotone_avoiders(n, k, direction) == sum(
                     beta_mask(n, m ^ flip) for m in masks), (n, k, direction)
