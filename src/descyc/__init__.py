@@ -3,41 +3,31 @@
 Counts of permutations by descent set, their restrictions to n-cycles via
 signed divisor sums, word counts under the cycle-type correspondence,
 consecutive-pattern avoiders, and exact deviation scans - all in integer
-arithmetic, cross-validated against a brute-force oracle.
+arithmetic, cross-validated against a brute-force oracle.  The ``descyc``
+command and its ``verify`` suites are the product; the library API is
+what README documents.
 """
 
 from .core import (
     CapacityError,
-    Composition,
     Count,
     CountTable,
     DescentSet,
     DomainError,
     InvariantViolation,
-    alternation,
-    composition_of,
-    descent_gcd,
     divisors,
     mobius,
-    set_of,
-    subset_quotient,
 )
 
 __all__ = [
     "CapacityError",
-    "Composition",
     "Count",
     "CountTable",
     "DescentSet",
     "DomainError",
     "InvariantViolation",
-    "alternation",
-    "composition_of",
-    "descent_gcd",
     "divisors",
     "mobius",
-    "set_of",
-    "subset_quotient",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -35,6 +35,7 @@ from .core import (
     DomainError,
     InvariantViolation,
     alternation_mask,
+    check_size,
     divisors,
     mask_elements,
     square_free_divisors,
@@ -107,8 +108,7 @@ class Family:
         epsilon = Fraction(epsilon)
         if not 0 < epsilon < Fraction(1, 2):
             raise DomainError(f"epsilon must be in (0, 1/2), got {epsilon}")
-        if n < 1:
-            raise DomainError(f"needs n >= 1, got {n}")
+        check_size(f"alt-threshold:{epsilon}", n, 1, math.inf)
         if epsilon.denominator > EPSILON_DENOMINATOR_CAP:
             raise CapacityError(
                 f"alt-threshold epsilon denominator capped at {EPSILON_DENOMINATOR_CAP},"
@@ -178,12 +178,6 @@ def _alt_qualifies(alt: int, n: int, epsilon: Fraction) -> bool:
         return True
     p, q = epsilon.numerator, epsilon.denominator
     return deficit2**q < 2**q * n ** (q - p)
-
-
-def almost_all_fraction(n: int, epsilon: Fraction) -> Fraction:
-    """Fraction of subsets whose alternation number clears the threshold."""
-    family = Family.alt_threshold(n, epsilon)
-    return Fraction(family.member_count(), 1 << (n - 1))
 
 
 @dataclass(frozen=True)

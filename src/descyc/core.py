@@ -281,14 +281,6 @@ def mask_gcd(n: int, mask: int) -> int:
     return g
 
 
-def descent_gcd(I: DescentSet) -> int:
-    """gcd of all elements of I together with the ambient n.
-
-    The empty set gives n itself.
-    """
-    return mask_gcd(I.n, I.mask)
-
-
 def quotient_mask(mask: int, d: int, n: int) -> int:
     """Mask of {i/d : i in I, d | i} inside ambient n/d, for raw masks."""
     if d == 1:
@@ -298,42 +290,6 @@ def quotient_mask(mask: int, d: int, n: int) -> int:
         if mask >> (d * j - 1) & 1:
             q |= 1 << (j - 1)
     return q
-
-
-def subset_quotient(I: DescentSet, d: int) -> DescentSet:
-    """The set {i/d : i in I, d | i} inside ambient n/d.  Requires d | n."""
-    if d < 1 or I.n % d != 0:
-        raise DomainError(f"{d} does not divide ambient size {I.n}")
-    return DescentSet(I.n // d, quotient_mask(I.mask, d, I.n))
-
-
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of positive parts; n is their sum."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise DomainError("composition needs at least one part")
-        if any(p < 1 for p in self.parts):
-            raise DomainError(f"composition parts must be positive: {self.parts}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def quotient(self, d: int) -> "Composition":
-        """Divide every part by d; requires d to divide each part."""
-        if any(p % d for p in self.parts):
-            raise DomainError(f"{d} does not divide all parts of {self.parts}")
-        return Composition(tuple(p // d for p in self.parts))
 
 
 def gap_parts(n: int, mask: int) -> tuple[int, ...]:
@@ -354,36 +310,9 @@ def gap_parts(n: int, mask: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def composition_of(I: DescentSet) -> Composition:
-    """The gap sequence of I within its ambient n, as a Composition."""
-    return Composition(gap_parts(I.n, I.mask))
-
-
-def set_of(mu: Composition) -> DescentSet:
-    """Inverse of composition_of: partial sums of all but the last part."""
-    mask = 0
-    acc = 0
-    for p in mu.parts[:-1]:
-        acc += p
-        mask |= 1 << (acc - 1)
-    return DescentSet(mu.n, mask)
-
-
 def alternation_mask(mask: int, n: int) -> int:
     """Mask over {1, ..., n-2} of positions where membership flips."""
     return (mask ^ (mask >> 1)) & ((1 << max(n - 2, 0)) - 1)
-
-
-def alternation(I: DescentSet) -> tuple[tuple[int, ...], int]:
-    """Positions i in {1, ..., n-2} with exactly one of i, i+1 in I.
-
-    Returns the position tuple and its cardinality.  For n = 1 there are
-    no eligible positions and the result is ((), 0).
-    """
-    alt = alternation_mask(I.mask, I.n)
-    if I.n <= 2:
-        return (), 0
-    return DescentSet(I.n - 1, alt).elements(), alt.bit_count()
 
 
 def csv_field(text: str) -> str:

@@ -212,10 +212,6 @@ def kz_mask(n: int, k: int) -> int:
     return mask
 
 
-def kz_set(n: int, k: int) -> DescentSet:
-    return DescentSet(n, kz_mask(n, k))
-
-
 # Largest n served by generalized_euler and euler_zigzag.  Each k keeps
 # one rank-prefix DP: built cold up to n = 2000 it takes about 1.5 s on
 # one core (k = 2 and 3, as long as one pointwise beta DP at n = 2000).

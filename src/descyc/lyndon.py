@@ -41,7 +41,6 @@ from .core import (
     DomainError,
     InvariantViolation,
     check_size,
-    divisors,
     exact_div,
     gap_parts,
     mobius_sum,
@@ -111,35 +110,6 @@ def lyndon_factorize(word: Sequence[int]) -> list[Word]:
             factors.append(w[i:i + j - k])
             i += j - k
     return factors
-
-
-def word_type(word: Sequence[int]) -> Partition:
-    """Partition of Lyndon-factor lengths, longest first."""
-    lengths = sorted((len(f) for f in lyndon_factorize(word)), reverse=True)
-    return Partition(tuple(lengths))
-
-
-def evaluation(word: Sequence[int], alphabet_size: int = 0) -> tuple[int, ...]:
-    """Letter multiplicities, padded out to alphabet_size entries."""
-    width = max(alphabet_size, max(word, default=0))
-    ev = [0] * width
-    for letter in word:
-        if letter < 1:
-            raise DomainError(f"letters must be positive, got {letter}")
-        ev[letter - 1] += 1
-    return tuple(ev)
-
-
-def period(word: Sequence[int]) -> int:
-    """Length of the shortest root v with word = v repeated."""
-    w = tuple(word)
-    if not w:
-        raise DomainError("empty word has no period")
-    n = len(w)
-    for d in divisors(n):
-        if w[:d] * (n // d) == w:
-            return d
-    raise AssertionError("unreachable: the word is its own root")
 
 
 def _normalize_evaluation(mu: Sequence[int]) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ on both ends) through signed divisor sums split by residue mod 3.
 
 from __future__ import annotations
 
+import math
 from operator import add, neg
 from typing import Iterator
 
@@ -106,8 +107,7 @@ def theta_tilde_divisor_sum(n: int) -> int:
 
 def cycles_avoiding_incr3(n: int) -> Count:
     """n-cycles with no two adjacent ascents."""
-    if n < 1:
-        raise DomainError(f"needs n >= 1, got {n}")
+    check_size("cycles avoiding 123", n, 1, math.inf)
     gamma(n)  # the d = 1 term: refuses an over-cap n before the divisors of n
     total = theta(n) + mobius_sum(n, lambda d: (
         gamma(n // d) if d % 3 == 1
@@ -118,8 +118,7 @@ def cycles_avoiding_incr3(n: int) -> Count:
 
 def cycles_avoiding_decr3(n: int) -> Count:
     """n-cycles with no two adjacent descents."""
-    if n < 1:
-        raise DomainError(f"needs n >= 1, got {n}")
+    check_size("cycles avoiding 321", n, 1, math.inf)
     gamma(n)  # the d = 1 term: refuses an over-cap n before the divisors of n
     outer_sign = -1 if n & 1 else 1
     total = theta_tilde(n) + mobius_sum(n, lambda d: (

@@ -11,7 +11,6 @@ from descyc.asymptotics import (
     SCAN_CAP,
     Family,
     _exhaustive_scan,
-    almost_all_fraction,
     alpha_deviation_scan,
     beta_deviation_scan,
 )
@@ -171,7 +170,7 @@ def test_beta_scan_errors():
     with pytest.raises(CapacityError):
         beta_deviation_scan(Family.alt_threshold(25, Fraction(1, 4)))
     # refused by the family, before any scan reaches divisors(n)
-    with pytest.raises(DomainError, match="needs n >= 1, got 0"):
+    with pytest.raises(DomainError, match="alt-threshold:1/4 needs n >= 1, got 0"):
         Family.alt_threshold(0, Fraction(1, 4))
 
 
@@ -191,14 +190,13 @@ def test_alpha_scan():
 
 def test_almost_all_fraction_examples():
     # small n put the threshold below zero, so every subset qualifies
-    assert almost_all_fraction(2, Fraction(1, 4)) == 1
-    assert almost_all_fraction(8, Fraction(1, 4)) == 1
-    value = almost_all_fraction(12, Fraction(1, 4))
-    assert 0 < value <= 1
+    assert Family.alt_threshold(2, Fraction(1, 4)).member_count() == 2
+    assert Family.alt_threshold(8, Fraction(1, 4)).member_count() == 1 << 7
+    assert 0 < Family.alt_threshold(12, Fraction(1, 4)).member_count() <= 1 << 11
     with pytest.raises(DomainError):
-        almost_all_fraction(8, Fraction(1, 2))
+        Family.alt_threshold(8, Fraction(1, 2))
     with pytest.raises(DomainError):
-        almost_all_fraction(8, Fraction(-1, 4))
+        Family.alt_threshold(8, Fraction(-1, 4))
 
 
 def test_epsilon_denominator_capped_before_any_power():
@@ -207,16 +205,17 @@ def test_epsilon_denominator_capped_before_any_power():
                 Fraction("1e-400"), Fraction(49999999, 10**8)):
         start = time.perf_counter()
         with pytest.raises(CapacityError, match="denominator capped at 100000,"):
-            almost_all_fraction(SCAN_CAP, eps)
+            Family.alt_threshold(SCAN_CAP, eps)
         assert time.perf_counter() - start < 1, eps
     # at the cap: 24**0.50001 is about 4.899, so the threshold is near 7.1
     # and a member's alternation number is at least 8.  Each of the 2**22
     # alternation masks on n - 2 = 22 bits comes from two descent sets.
     start = time.perf_counter()
-    value = almost_all_fraction(SCAN_CAP, Fraction(49999, EPSILON_DENOMINATOR_CAP))
+    eps = Fraction(49999, EPSILON_DENOMINATOR_CAP)
+    count = Family.alt_threshold(SCAN_CAP, eps).member_count()
     assert time.perf_counter() - start < 1
-    assert value == Fraction(sum(math.comb(22, j) for j in range(8, 23)), 1 << 22)
-    assert value == Fraction(489213, 524288)
+    assert count == 2 * sum(math.comb(22, j) for j in range(8, 23))
+    assert Fraction(count, 1 << (SCAN_CAP - 1)) == Fraction(489213, 524288)
 
 
 def _clears_threshold(alt, n, eps):
@@ -236,15 +235,16 @@ def test_almost_all_fraction_matches_enumeration():
                 alt = alternation_mask(mask, n).bit_count()
                 if _clears_threshold(alt, n, eps):
                     count += 1
-            assert almost_all_fraction(n, eps) == Fraction(count, 1 << (n - 1))
+            assert Family.alt_threshold(n, eps).member_count() == count, (n, eps)
 
 
 def test_almost_all_fraction_monotone_nonincreasing_in_eps():
     # a larger epsilon means a higher alternation threshold, hence no more
     # qualifying subsets
     for n in (8, 12, 16, 20):
-        values = [almost_all_fraction(n, Fraction(k, 100)) for k in range(1, 50)]
-        assert all(a >= b for a, b in zip(values, values[1:])), n
+        counts = [Family.alt_threshold(n, Fraction(k, 100)).member_count()
+                  for k in range(1, 50)]
+        assert all(a >= b for a, b in zip(counts, counts[1:])), n
 
 
 def test_scan_report_json_shape():

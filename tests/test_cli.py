@@ -292,6 +292,10 @@ def test_new_caps_answer_at_the_cap(capsys):
         (("sequence", "euler", "--max-n", "2001"),
          "zigzag numbers capped at n = 2000, got 2001"),
         (("compute", "euler", "--n", "-1"), "zigzag numbers needs n >= 0, got -1"),
+        (("compute", "cycles-avoid-123", "--n", "0"),
+         "cycles avoiding 123 needs n >= 1, got 0"),
+        (("compute", "cycles-avoid-321", "--n", "-1"),
+         "cycles avoiding 321 needs n >= 1, got -1"),
         (("compute", "euler-k", "--n", "2001", "--k", "2001"),
          "generalized zigzag capped at n = 2000, got 2001"),
         (("compute", "kz-cycles", "--n", "2001", "--k", "2001"),
@@ -516,7 +520,7 @@ def test_scan_errors(capsys):
     assert code == 2
     code, out, err = run_cli(capsys, "scan", "--family", "alt-threshold:1/4",
                              "--n", "0")
-    assert code == 2 and not out and err == "error: needs n >= 1, got 0\n"
+    assert code == 2 and not out and err == "error: alt-threshold:1/4 needs n >= 1, got 0\n"
 
 
 def test_sequence_outputs(capsys):

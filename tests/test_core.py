@@ -6,24 +6,21 @@ import pytest
 
 from descyc.core import (
     CapacityError,
-    Composition,
     CountTable,
     DescentSet,
     DomainError,
-    alternation,
+    alternation_mask,
     capped_sequence,
-    composition_of,
-    descent_gcd,
     divisors,
     gap_parts,
     mask_elements,
+    mask_gcd,
     mobius,
     mobius_sum,
-    set_of,
+    quotient_mask,
     signed_submask_sum,
     square_free_divisors,
     submasks,
-    subset_quotient,
     subset_sums,
 )
 
@@ -166,19 +163,16 @@ def test_text_codec_is_strict():
 
 
 def test_descent_gcd():
-    assert descent_gcd(DescentSet(5)) == 5
-    assert descent_gcd(DescentSet.from_elements(6, [2, 4])) == 2
-    assert descent_gcd(DescentSet.from_elements(7, [3])) == 1
+    assert mask_gcd(5, 0) == 5
+    assert mask_gcd(6, 0b1010) == 2
+    assert mask_gcd(7, 0b100) == 1
+    assert mask_gcd(8, 0b110) == 1
 
 
 def test_subset_quotient():
-    q = subset_quotient(DescentSet.from_elements(6, [2, 4, 5]), 2)
-    assert (q.n, q.elements()) == (3, (1, 2))
-    I = DescentSet.from_elements(6, [3])
-    assert subset_quotient(I, 1) == I
-    assert subset_quotient(I, 2).elements() == ()
-    with pytest.raises(DomainError):
-        subset_quotient(I, 4)
+    assert quotient_mask(0b11010, 2, 6) == 0b11
+    assert quotient_mask(0b100, 1, 6) == 0b100
+    assert quotient_mask(0b100, 2, 6) == 0
 
 
 def test_quotient_composes_and_divides_gcd():
@@ -189,65 +183,60 @@ def test_quotient_composes_and_divides_gcd():
         ds = divisors(n)
         d = rng.choice(ds)
         e = rng.choice(divisors(n // d))
-        I = DescentSet(n, rng.randrange(1 << (n - 1)))
-        assert subset_quotient(subset_quotient(I, e), d) == subset_quotient(I, d * e)
+        mask = rng.randrange(1 << (n - 1))
+        assert (quotient_mask(quotient_mask(mask, e, n), d, n // e)
+                == quotient_mask(mask, d * e, n)), (n, mask, d, e)
         samples += 1
     for n in range(1, 17):
         for mask in range(1 << (n - 1)):
-            I = DescentSet(n, mask)
-            g = descent_gcd(I)
+            g = mask_gcd(n, mask)
             for d in divisors(g):
-                assert descent_gcd(subset_quotient(I, d)) == g // d
+                assert mask_gcd(n // d, quotient_mask(mask, d, n)) == g // d
+
+
+def _mask_of(parts):
+    """The inverse of gap_parts: the partial sums of all but the last part."""
+    return sum(1 << (cut - 1) for cut in itertools.accumulate(parts[:-1]))
 
 
 def test_composition_codec():
-    c = composition_of(DescentSet.from_elements(12, [1, 2, 7, 9, 10]))
-    assert c.parts == (1, 1, 5, 2, 1, 2)
-    assert composition_of(DescentSet(5)).parts == (5,)
-    assert set_of(Composition((2, 2))).elements() == (2,)
+    assert gap_parts(12, 0b1101000011) == (1, 1, 5, 2, 1, 2)
+    assert gap_parts(5, 0) == (5,)
     for n in range(1, 17):
         for mask in range(1 << (n - 1)):
-            I = DescentSet(n, mask)
-            mu = composition_of(I)
-            assert sum(mu.parts) == n
-            assert set_of(mu) == I
-    # the mask-level decoder: the differences of the cuts 0 < I < n
+            parts = gap_parts(n, mask)
+            assert min(parts) >= 1 and sum(parts) == n, (n, mask)
+            assert _mask_of(parts) == mask, (n, mask)
+    # the differences of the cuts 0 < I < n
     for n in range(1, 13):
         for mask in range(1 << (n - 1)):
             cuts = (0, *mask_elements(mask), n)
-            parts = gap_parts(n, mask)
-            assert parts == tuple(b - a for a, b in zip(cuts, cuts[1:])), (n, mask)
-            assert set_of(Composition(parts)) == DescentSet(n, mask)
-    with pytest.raises(DomainError):
-        Composition(())
-    with pytest.raises(DomainError):
-        Composition((2, 0))
+            assert gap_parts(n, mask) == tuple(b - a for a, b in zip(cuts, cuts[1:]))
 
 
 def test_composition_quotient_matches_subset_quotient():
     for n in range(1, 15):
         for mask in range(1 << (n - 1)):
-            I = DescentSet(n, mask)
-            g = descent_gcd(I)
-            for d in divisors(g):
-                lhs = composition_of(subset_quotient(I, d)).parts
-                rhs = composition_of(I).quotient(d).parts
-                assert lhs == rhs
+            parts = gap_parts(n, mask)
+            for d in divisors(mask_gcd(n, mask)):
+                assert all(p % d == 0 for p in parts), (n, mask, d)
+                assert (gap_parts(n // d, quotient_mask(mask, d, n))
+                        == tuple(p // d for p in parts)), (n, mask, d)
 
 
 def test_alternation():
-    assert alternation(DescentSet.from_elements(6, [2, 4])) == ((1, 2, 3, 4), 4)
-    assert alternation(DescentSet(6)) == ((), 0)
-    assert alternation(DescentSet.from_elements(6, [2, 4, 5])) == ((1, 2, 3), 3)
-    assert alternation(DescentSet(1)) == ((), 0)
+    assert mask_elements(alternation_mask(0b1010, 6)) == (1, 2, 3, 4)
+    assert alternation_mask(0, 6) == 0
+    assert mask_elements(alternation_mask(0b11010, 6)) == (1, 2, 3)
+    assert alternation_mask(0, 1) == 0
     for n in range(1, 13):
+        full = (1 << (n - 1)) - 1
         for mask in range(1 << (n - 1)):
-            I = DescentSet(n, mask)
-            positions, count = alternation(I)
-            assert len(positions) == count
-            assert positions == tuple(
-                i for i in range(1, n - 1) if (i in I) != (i + 1 in I))
-            assert alternation(I.complement()) == (positions, count)
+            alt = alternation_mask(mask, n)
+            assert mask_elements(alt) == tuple(
+                i for i in range(1, n - 1)
+                if (mask >> (i - 1) & 1) != (mask >> i & 1)), (n, mask)
+            assert alternation_mask(full ^ mask, n) == alt, (n, mask)
 
 
 def test_count_table():

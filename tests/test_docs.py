@@ -34,3 +34,9 @@ def test_readme_cap_figures_match_the_constants():
         value = int(base) ** int(exponent or 1)
         assert getattr(importlib.import_module(f"descyc.{module}"), name) == value, (
             f"README gives {module}.{name} as {value}")
+
+
+def test_package_and_project_versions_agree():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (ROOT / "pyproject.toml").read_text()
+    assert re.findall(r'(?m)^version = "([^"]+)"$', text) == [descyc.__version__]

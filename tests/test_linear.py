@@ -26,7 +26,6 @@ from descyc.linear import (
     eulerian,
     generalized_euler,
     kz_mask,
-    kz_set,
     multinomial,
 )
 
@@ -136,7 +135,7 @@ def test_generalized_euler():
     for n in range(1, 12):
         assert generalized_euler(n, 1) == 1
         for k in range(1, 6):
-            assert generalized_euler(n, k) == beta(kz_set(n, k))
+            assert generalized_euler(n, k) == beta(DescentSet(n, kz_mask(n, k)))
     with pytest.raises(DomainError):
         generalized_euler(0, 2)
 

@@ -3,8 +3,9 @@
 ``core.capped_sequence``.  A ``global`` statement, a module-level container
 that a function grows, or an ``lru_cache`` of any other size fails here.
 So does a submask step ``(sub - 1) & mask`` outside ``core.submasks``, the
-one walk of the subset lattice, and a size refusal ("capped at n =",
-"needs n >=") written outside ``core.check_size``."""
+one walk of the subset lattice, a size refusal ("capped at n =",
+"needs n >=") written outside ``core.check_size``, and a public function or
+class that nothing else in the package uses."""
 
 import ast
 from pathlib import Path
@@ -145,12 +146,6 @@ def test_submask_check_flags_hand_written_walks(tmp_path):
 KEPT_REFUSALS = {
     ("asymptotics.__post_init__", "f'{self.describe()} scan capped at n = {cap}'"):
         "the scan cap names the family and has no ', got'",
-    ("asymptotics.alt_threshold", "f'needs n >= 1, got {n}'"):
-        "no subject before 'needs'",
-    ("patterns.cycles_avoiding_incr3", "f'needs n >= 1, got {n}'"):
-        "no subject before 'needs'",
-    ("patterns.cycles_avoiding_decr3", "f'needs n >= 1, got {n}'"):
-        "no subject before 'needs'",
     ("patterns._check_run_args", "f'needs n >= {least_n} and k >= 2, got {n}, {k}'"):
         "names both n and k",
 }
@@ -190,3 +185,67 @@ def test_refusal_check_flags_hand_written_texts(tmp_path):
     assert _size_refusals(tmp_path) == {
         ("bad.cap", "f'widgets capped at n = 9, got {n}'"),
         ("bad.low", "'widgets needs n >= 1'"), ("bad", "'needs n >= 0'")}
+
+
+# Public names of src/ that nothing else in src/ uses, kept on purpose, and why.
+KEPT_ORPHANS = {
+    "patterns.monotone_avoiders":
+        "the d = 1 family sum, which the tests pin against the oracle's avoiders",
+}
+
+
+def _referenced_name(node: ast.AST):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def _orphans(src: Path = SRC) -> set[str]:
+    """module.name of each public top-level function or class that no other
+    place in src refers to by name (a Name, an Attribute or an imported
+    alias; a docstring does not count).  A re-export in __init__ is not a
+    use, and the oracle module, which holds the tests' reference routes, is
+    exempt."""
+    defined, used = set(), set()
+    for stem, tree, _ in _modules(src):
+        if stem == "__init__":
+            continue
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if own and not own.startswith("_") and stem != "oracle":
+                defined.add((stem, own))
+            used |= {_referenced_name(node) for node in ast.walk(top)} - {own}
+    return {f"{stem}.{name}" for stem, name in defined if name not in used}
+
+
+def test_every_public_name_is_used():
+    assert _orphans() == set(KEPT_ORPHANS)
+
+
+def test_orphan_check_flags_unused_names(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .lib import exported\n")
+    (tmp_path / "lib.py").write_text(
+        "def used(n):\n"
+        "    return n\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else used(n)\n"
+        "def exported():\n"
+        "    'Only __init__ and this docstring name exported.'\n"
+        "class Orphan:\n"
+        "    def copy(self):\n"
+        "        return Orphan()\n"
+        "def _private():\n"
+        "    pass\n")
+    (tmp_path / "app.py").write_text(
+        "from . import lib\n"
+        "from .lib import used as alias\n"
+        "def main():\n"
+        "    return lib.recursive(1), alias(1)\n"
+        "if __name__ == '__main__':\n"
+        "    main()\n")
+    (tmp_path / "oracle.py").write_text("def reference():\n    pass\n")
+    assert _orphans(tmp_path) == {"lib.exported", "lib.Orphan"}
