@@ -5,18 +5,26 @@ from fractions import Fraction
 
 import pytest
 
+from descyc import asymptotics
 from descyc.asymptotics import (
     ALL_PROPER_SCAN_CAP,
     EPSILON_DENOMINATOR_CAP,
     SCAN_CAP,
     Family,
     _exhaustive_scan,
+    _prefix_max_levels,
     alpha_deviation_scan,
     beta_deviation_scan,
 )
-from descyc.core import CapacityError, DescentSet, DomainError, alternation_mask
-from descyc.cyclic import alpha_cyc_mask, beta_cyc_mask
-from descyc.linear import alpha_mask, beta_mask, beta_table, euler_zigzag
+from descyc.core import (
+    CapacityError,
+    DescentSet,
+    DomainError,
+    alternation_mask,
+    square_free_divisors,
+)
+from descyc.cyclic import alpha_cyc_mask, beta_cyc_mask, signed_divisor_table
+from descyc.linear import alpha_mask, beta_mask, beta_table, euler_zigzag, psi_step
 
 
 def test_family_validation():
@@ -146,11 +154,98 @@ def test_pruned_scan_argmax_beyond_exhaustive_cap():
         assert report.member_count == (1 << (n - 1)) - 2
 
 
+def test_pruned_walk_node_counts(monkeypatch):
+    # only the walk calls asymptotics.psi_step, twice for each node it
+    # expands, so the calls are one fewer than the nodes it visits
+    calls = []
+
+    def counted(psi, descent):
+        calls.append(descent)
+        return psi_step(psi, descent)
+
+    monkeypatch.setattr(asymptotics, "psi_step", counted)
+    for n, expected in ((16, 2_818), (20, 11_934), (24, 50_510)):
+        calls.clear()
+        beta_deviation_scan(Family.all_proper(n))
+        assert len(calls) == expected, n
+
+
+def test_all_proper_maximum_closed_form():
+    # computed facts (they hold at n = 3..32), not a trend: the worst proper
+    # set is {1} with deviation 1/(n-1), except at n = 2 mod 4, where it is
+    # [n-3] with deviation (n+2)/((n-1)(n-2)).  Past SCAN_CAP this is the
+    # only check that the reported maximum is the maximum
+    for n in range(3, 27):
+        report = beta_deviation_scan(Family.all_proper(n))
+        if n % 4 == 2:
+            expected = (Fraction(n + 2, (n - 1) * (n - 2)), tuple(range(1, n - 2)))
+        else:
+            expected = (Fraction(1, n - 1), (1,))
+        assert (report.max_deviation, report.argmax.elements()) == expected, n
+
+
+def _skipped_nodes(family):
+    """The walk's report on family, and every node (mask, p) with p < n
+    whose members it counted without descending below it."""
+    calls = []
+
+    class Logged(Family):
+        def members_below(self, mask, p):
+            calls.append((mask, p))
+            return super().members_below(mask, p)
+
+    report = beta_deviation_scan(Logged(
+        family.n, family.kind, family.ell, family.pattern, family.epsilon))
+    # a node the walk expanded is a proper prefix of a later call
+    expanded = {(mask & ((1 << (p - 1)) - 1), p) for mask, q in calls for p in range(1, q)}
+    skipped = {(mask, p) for mask, p in calls if p < family.n} - expanded
+    return report, skipped
+
+
+def test_pruned_walk_skips_only_what_falls_short():
+    # equal reports could hide an unsound skip whose subtree happens not to
+    # hold the maximum: every member below a skipped node must deviate
+    # strictly less than the reported maximum
+    audited = 0
+    for n in range(1, 17):
+        families = [Family.alt_threshold(n, eps) for eps in (
+            Fraction(1, 4), Fraction(2, 5), Fraction(49, 100))]
+        if n >= 3:
+            families.append(Family.all_proper(n))
+        terms = [(d, mu, beta_table(n // d).__getitem__)
+                 for d, mu in square_free_divisors(n) if d > 1]
+        nums = signed_divisor_table(n, terms)
+        betas = beta_table(n)
+        for family in families:
+            report, skipped = _skipped_nodes(family)
+            top = report.max_deviation
+            members = set(family.members())
+            for mask, p in skipped:
+                below = [mask | rest << (p - 1) for rest in range(1 << (n - p))]
+                for m in members.intersection(below):
+                    audited += 1
+                    assert (abs(nums[m]) * top.denominator
+                            < top.numerator * betas[m]), (family, mask, p, m)
+    assert audited > 100_000
+
+
 def test_niven_zigzag_bound():
-    # the walk bounds each divisor term by the zigzag number: no beta_m
-    # exceeds E_m, and the alternating sets attain it
+    # the walk's prefix-max table starts from the largest beta_m, which is
+    # the zigzag number E_m (Niven); the alternating sets attain it
     for m in range(1, 17):
-        assert max(beta_table(m)) == euler_zigzag(m), m
+        assert _prefix_max_levels(m)[0] == [euler_zigzag(m)] == [max(beta_table(m))], m
+
+
+def test_prefix_max_levels():
+    # level q holds the largest beta_m over the completions of each q-bit
+    # prefix; the last level is exact
+    for m in range(1, 13):
+        levels = _prefix_max_levels(m)
+        assert len(levels) == m
+        for q, level in enumerate(levels):
+            assert level == [
+                max(beta_mask(m, x | rest << q) for rest in range(1 << (m - 1 - q)))
+                for x in range(1 << q)], (m, q)
 
 
 def test_prefix_lower_bound():

@@ -194,32 +194,49 @@ KEPT_ORPHANS = {
 }
 
 
-def _referenced_name(node: ast.AST):
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.alias):
-        return node.name
-    return None
+def _imports(tree: ast.Module):
+    """The relative imports of a module: local name -> module for
+    ``from . import lib``, and local name -> (module, name) for
+    ``from .lib import f as g``."""
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module:
+                    names[local] = (node.module, alias.name)
+                else:
+                    modules[local] = alias.name
+    return modules, names
 
 
 def _orphans(src: Path = SRC) -> set[str]:
     """module.name of each public top-level function or class that no other
-    place in src refers to by name (a Name, an Attribute or an imported
-    alias; a docstring does not count).  A re-export in __init__ is not a
-    use, and the oracle module, which holds the tests' reference routes, is
-    exempt."""
+    place in src uses.  A use is resolved through bindings, not matched by
+    name: ``lib.f`` counts for lib.f only where lib is an imported module,
+    and a bare ``f`` only in the module that defines f (outside f itself) or
+    that imports it; a docstring does not count.  A re-export in __init__
+    is not a use, and the oracle module, which holds the tests' reference
+    routes, is exempt."""
     defined, used = set(), set()
     for stem, tree, _ in _modules(src):
         if stem == "__init__":
             continue
+        modules, names = _imports(tree)
+        tops = {top.name for top in tree.body
+                if isinstance(top, (ast.FunctionDef, ast.ClassDef))}
         for top in tree.body:
             own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
             if own and not own.startswith("_") and stem != "oracle":
                 defined.add((stem, own))
-            used |= {_referenced_name(node) for node in ast.walk(top)} - {own}
-    return {f"{stem}.{name}" for stem, name in defined if name not in used}
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                    used.add((modules[node.value.id], node.attr))
+                elif isinstance(node, ast.Name) and node.id in names:
+                    used.add(names[node.id])
+                elif isinstance(node, ast.Name) and node.id in tops and node.id != own:
+                    used.add((stem, node.id))
+    return {f"{stem}.{name}" for stem, name in defined - used}
 
 
 def test_every_public_name_is_used():
@@ -249,3 +266,25 @@ def test_orphan_check_flags_unused_names(tmp_path):
         "    main()\n")
     (tmp_path / "oracle.py").write_text("def reference():\n    pass\n")
     assert _orphans(tmp_path) == {"lib.exported", "lib.Orphan"}
+
+
+def test_orphan_check_resolves_bindings(tmp_path):
+    # a same-named attribute of something else, or a bare name in a module
+    # that neither defines nor imports it, is not a use
+    (tmp_path / "lib.py").write_text(
+        "def evaluation(word):\n"
+        "    return word\n"
+        "def period(word):\n"
+        "    return word\n"
+        "def used(word):\n"
+        "    return word\n")
+    (tmp_path / "other.py").write_text(
+        "def period(word):\n"
+        "    return word\n")
+    (tmp_path / "cli.py").write_text(
+        "from . import lib, other\n"
+        "def main(args):\n"
+        "    period = len(args)\n"
+        "    return args.evaluation, other.period(period), lib.used(1)\n"
+        "main([])\n")
+    assert _orphans(tmp_path) == {"lib.evaluation", "lib.period"}
