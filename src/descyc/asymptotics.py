@@ -18,8 +18,6 @@ E_{n/d} (Niven), and it tightens as the walk fixes multiples of d.  A
 skipped subtree adds its member count, so the number of members
 accounted for is an exact certificate.  The
 exhaustive scan over the whole beta table stays as the tests' reference.
-The inequality sweeps and the divisor-count bound that these scans feed
-are checks, stated in ``verify``.
 """
 
 from __future__ import annotations
@@ -41,17 +39,11 @@ from .core import (
     InvariantViolation,
     alternation_mask,
     check_size,
-    divisors,
     mask_elements,
     square_free_divisors,
-    submasks,
 )
-from .cyclic import (
-    alpha_cyc_mask,
-    signed_divisor_sum,
-    signed_divisor_table,
-)
-from .linear import alpha_mask, beta_table, kz_mask, psi_step
+from .cyclic import signed_divisor_sum, signed_divisor_table
+from .linear import beta_table, psi_step
 
 SCAN_CAP = 24
 # Largest n of an all-proper family: at n = 32 its scan visits 919,155 nodes
@@ -192,7 +184,7 @@ class ScanReport:
     n: int
     family: str
     max_deviation: Fraction
-    argmax: Optional[DescentSet]
+    argmax: DescentSet
     member_count: Count
     elapsed_s: float
 
@@ -202,7 +194,7 @@ class ScanReport:
             "family": self.family,
             "max_deviation_num": self.max_deviation.numerator,
             "max_deviation_den": self.max_deviation.denominator,
-            "argmax_set": "" if self.argmax is None else self.argmax.to_text(),
+            "argmax_set": self.argmax.to_text(),
             "member_count": self.member_count,
         }
         if include_timing:
@@ -213,11 +205,9 @@ class ScanReport:
 _Candidate = tuple[int, int, int]  # (num, den, argmax mask)
 
 
-def _better(a: Optional[_Candidate], b: Optional[_Candidate]) -> Optional[_Candidate]:
+def _better(a: Optional[_Candidate], b: _Candidate) -> _Candidate:
     if a is None:
         return b
-    if b is None:
-        return a
     left = a[0] * b[1]
     right = b[0] * a[1]
     if left != right:
@@ -351,36 +341,3 @@ def beta_deviation_scan(family: Family, jobs: int = 1) -> ScanReport:
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     return _pruned_scan(family)
-
-
-def _shared_prime_masks(n: int) -> list[int]:
-    # masks supported on multiples of a prime divisor of n (every d > 1
-    # dividing n has one, so walking all such d gives the same set); every
-    # other nonempty set has gcd 1 with n and contributes deviation exactly 0
-    masks = {sub for d in divisors(n)[1:] for sub in submasks(kz_mask(n, d))}
-    return sorted(masks - {0})
-
-
-def alpha_deviation_scan(n: int) -> ScanReport:
-    """Exact max of |n * alpha_cyc / alpha - 1| over nonempty subsets.
-
-    Sets whose gcd with n is 1 deviate by exactly 0, so only masks
-    supported on multiples of a shared prime are enumerated.
-    """
-    if not 2 <= n <= SCAN_CAP:
-        raise DomainError(f"needs 2 <= n <= {SCAN_CAP}, got {n}")
-    start = time.monotonic()
-    best: _Candidate = (0, 1, 1)  # {1} is always coprime to n, deviation 0
-    for mask in _shared_prime_masks(n):
-        alpha = alpha_mask(n, mask)
-        num = abs(n * alpha_cyc_mask(n, mask) - alpha)
-        best = _better(best, (num, alpha, mask))
-    num, den, mask = best
-    return ScanReport(
-        n=n,
-        family="alpha-nonempty",
-        max_deviation=Fraction(num, den),
-        argmax=DescentSet(n, mask),
-        member_count=(1 << (n - 1)) - 1,
-        elapsed_s=time.monotonic() - start,
-    )

@@ -256,10 +256,6 @@ class DescentSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements())
 
-    def complement(self) -> "DescentSet":
-        full = (1 << (self.n - 1)) - 1
-        return DescentSet(self.n, full ^ self.mask)
-
 
 def mask_elements(mask: int) -> tuple[int, ...]:
     """The members of a raw mask, ascending."""

@@ -27,11 +27,11 @@ from .core import (
 from .linear import psi_step
 
 
-def chi(r: int, k: int = 3) -> int:
-    """+1 on residue 1, -1 on residue 0 (mod k), else 0."""
-    if r % k == 1 % k:
+def chi(r: int) -> int:
+    """+1 on residue 1, -1 on residue 0 (mod 3), else 0."""
+    if r % 3 == 1:
         return 1
-    if r % k == 0:
+    if r % 3 == 0:
         return -1
     return 0
 

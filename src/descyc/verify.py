@@ -20,9 +20,10 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import add
 
-from . import asymptotics, cyclic, linear, lyndon, oracle, patterns
+from . import cyclic, linear, lyndon, oracle, patterns
 from .core import (
     DescentSet,
     DomainError,
@@ -32,6 +33,7 @@ from .core import (
     mask_gcd,
     mobius,
     quotient_mask,
+    submasks,
     subset_sums,
 )
 
@@ -466,8 +468,17 @@ def _check_inequalities(n: int):
 
 @_check("alpha deviation bound n={}")
 def _check_alpha_deviation_bound(n: int):
-    """The max alpha deviation stays within d(n) / sqrt(n)."""
-    dev = asymptotics.alpha_deviation_scan(n).max_deviation
+    """The max of |n * alpha_cyc(I) / alpha(I) - 1| over nonempty I stays
+    within d(n) / sqrt(n).  Only the sets on the multiples of a d > 1
+    dividing n are read: the others share no prime with n and deviate by
+    exactly 0, as the gcd shortcuts check."""
+    def deviation(mask):
+        alpha = linear.alpha_mask(n, mask)
+        return abs(Fraction(n * cyclic.alpha_cyc_mask(n, mask) - alpha, alpha))
+
+    dev = max((deviation(mask) for d in divisors(n)[1:]
+               for mask in submasks(linear.kz_mask(n, d)) if mask),
+              default=Fraction(0))
     d_n = len(divisors(n))
     holds = dev.numerator ** 2 * n <= d_n ** 2 * dev.denominator ** 2
     return holds, f"max deviation {dev}"
@@ -500,4 +511,9 @@ def run_suite(suite: str, max_n: int) -> SuiteReport:
         raise DomainError(f"max_n must be >= 1, got {max_n}")
     names = _SUITE_FUNCS if suite == "all" else (suite,)
     results = [r for name in names for r in _SUITE_FUNCS[name](max_n)]
+    if not results:  # a run of no checks would pass vacuously
+        least = next(m for m in itertools.count(max_n + 1)
+                     if any(_SUITE_FUNCS[name](m) for name in names))
+        raise DomainError(
+            f"suite {suite!r} has no check at max_n = {max_n}; use max_n >= {least}")
     return SuiteReport(suite, max_n, tuple(results))

@@ -13,18 +13,19 @@ from descyc.asymptotics import (
     Family,
     _exhaustive_scan,
     _prefix_max_levels,
-    alpha_deviation_scan,
     beta_deviation_scan,
 )
 from descyc.core import (
+    MAX_N,
     CapacityError,
     DescentSet,
     DomainError,
     alternation_mask,
+    quotient_mask,
     square_free_divisors,
 )
-from descyc.cyclic import alpha_cyc_mask, beta_cyc_mask, signed_divisor_table
-from descyc.linear import alpha_mask, beta_mask, beta_table, euler_zigzag, psi_step
+from descyc.cyclic import beta_cyc_mask, signed_divisor_table
+from descyc.linear import beta_mask, beta_table, euler_zigzag, psi_step
 
 
 def test_family_validation():
@@ -184,6 +185,35 @@ def test_all_proper_maximum_closed_form():
         assert (report.max_deviation, report.argmax.elements()) == expected, n
 
 
+def test_worst_set_closed_forms():
+    # conjectured closed forms (README) at the two sets that attain the
+    # all-proper maximum, checked at every n = 5..64: {1} and [n-3]
+    for n in range(5, MAX_N + 1):
+        assert (beta_mask(n, 1), beta_cyc_mask(n, 1)) == (n - 1, 1), n
+        head = (1 << (n - 3)) - 1
+        cycles = (n - 3 if n % 2 else n - 2 if n % 4 == 0 else n - 4) // 2
+        assert (beta_mask(n, head), beta_cyc_mask(n, head)) == (
+            math.comb(n - 1, 2), cycles), n
+
+
+def test_quotient_inequality_over_whole_tables():
+    # conjectured (README): beta_n(I) >= (n-1) * beta_{n/d}(I/d) for every
+    # square-free d > 1 dividing n and every proper nonempty I, with
+    # equality at {1}; here at every such I and d for n <= 16
+    compared = 0
+    for n in range(3, 17):
+        betas = beta_table(n)
+        for d, _ in square_free_divisors(n):
+            if d == 1:
+                continue
+            low = beta_table(n // d)
+            for mask in range(1, len(betas) - 1):
+                assert betas[mask] >= (n - 1) * low[quotient_mask(mask, d, n)], (n, d, mask)
+            assert betas[1] == (n - 1) * low[0]
+            compared += len(betas) - 2
+    assert compared == 119_820
+
+
 def _skipped_nodes(family):
     """The walk's report on family, and every node (mask, p) with p < n
     whose members it counted without descending below it."""
@@ -267,20 +297,6 @@ def test_beta_scan_errors():
     # refused by the family, before any scan reaches divisors(n)
     with pytest.raises(DomainError, match="alt-threshold:1/4 needs n >= 1, got 0"):
         Family.alt_threshold(0, Fraction(1, 4))
-
-
-def test_alpha_scan():
-    report = alpha_deviation_scan(5)
-    assert report.max_deviation == 0
-    assert report.argmax.elements() == (1,)
-    for n in range(2, 15):
-        report = alpha_deviation_scan(n)
-        direct = max(
-            abs(Fraction(n * alpha_cyc_mask(n, m), alpha_mask(n, m)) - 1)
-            for m in range(1, 1 << (n - 1)))
-        assert report.max_deviation == direct, n
-    with pytest.raises(DomainError):
-        alpha_deviation_scan(1)
 
 
 def test_almost_all_fraction_examples():

@@ -429,6 +429,12 @@ def test_verify_commands(capsys):
                            "--format", "json")
     doc = json.loads(out)
     assert doc["passed"] is True and len(doc["checks"]) == 6
+    # a request that selects no check is refused, not passed vacuously
+    for fmt in ("plain", "json", "csv"):
+        code, out, err = run_cli(capsys, "verify", "bounds", "--max-n", "1",
+                                 "--format", fmt)
+        assert (code, out) == (2, "") and err == (
+            "error: suite 'bounds' has no check at max_n = 1; use max_n >= 2\n")
     with pytest.raises(SystemExit) as exc:
         main(["verify", "everything", "--max-n", "3"])
     assert exc.value.code == 2

@@ -4,8 +4,8 @@
 that a function grows, or an ``lru_cache`` of any other size fails here.
 So does a submask step ``(sub - 1) & mask`` outside ``core.submasks``, the
 one walk of the subset lattice, a size refusal ("capped at n =",
-"needs n >=") written outside ``core.check_size``, and a public function or
-class that nothing else in the package uses."""
+"needs n >=") written outside ``core.check_size``, and a public function,
+class or method that nothing else in the package uses."""
 
 import ast
 from pathlib import Path
@@ -288,3 +288,56 @@ def test_orphan_check_resolves_bindings(tmp_path):
         "    return args.evaluation, other.period(period), lib.used(1)\n"
         "main([])\n")
     assert _orphans(tmp_path) == {"lib.evaluation", "lib.period"}
+
+
+def _unused_methods(src: Path = SRC) -> set[str]:
+    """module.Class.method of each public method of a public class, outside
+    the oracle module, whose name appears as no attribute anywhere in src
+    but inside its own body.  Unlike _orphans this matches names: a method
+    is reached through instances, whose bindings the source does not
+    show."""
+    methods, attrs = {}, []
+    for stem, tree, _ in _modules(src):
+        attrs += [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        if stem == "oracle":
+            continue
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+                for fn in top.body:
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                        methods[f"{stem}.{top.name}.{fn.name}"] = (
+                            fn.name, set(ast.walk(fn)))
+    return {name for name, (attr, own) in methods.items()
+            if not any(node.attr == attr and node not in own for node in attrs)}
+
+
+def test_every_public_method_is_used():
+    assert _unused_methods() == set()
+
+
+def test_method_check_flags_unused_methods(tmp_path):
+    (tmp_path / "lib.py").write_text(
+        "class Box:\n"
+        "    def used(self):\n"
+        "        return self.size\n"
+        "    def recursive(self, n):\n"
+        "        return self.recursive(n - 1) if n else 0\n"
+        "    def unused(self):\n"
+        "        return 0\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    def _private(self):\n"
+        "        return 0\n"
+        "class _Hidden:\n"
+        "    def unused(self):\n"
+        "        return 0\n")
+    (tmp_path / "app.py").write_text(
+        "from .lib import Box\n"
+        "def main():\n"
+        "    return Box().used()\n")
+    (tmp_path / "oracle.py").write_text(
+        "class Reference:\n"
+        "    def unused(self):\n"
+        "        return 0\n")
+    assert _unused_methods(tmp_path) == {"lib.Box.recursive", "lib.Box.unused"}

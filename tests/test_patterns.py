@@ -32,9 +32,7 @@ DECR3 = [1, 1, 2, 4, 14, 58, 288, 1669, 11042, 82202, 679742, 6183925]
 
 def test_chi_weights():
     for r in range(0, 300):
-        for k in (2, 3, 4, 5):
-            value = chi(r, k)
-            assert value == (1 if r % k == 1 % k else -1 if r % k == 0 else 0)
+        assert chi(r) == (1 if r % 3 == 1 else -1 if r % 3 == 0 else 0)
         assert chi_star(r) == (1 if r % 3 == 2 else -1 if r % 3 == 0 else 0)
 
 

@@ -6,11 +6,18 @@ Derandomized, so every run draws the same examples.
 import itertools
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from descyc import lyndon
-from descyc.core import MAX_N, DescentSet, divisors, gap_parts
+from descyc.core import (
+    MAX_N,
+    DescentSet,
+    divisors,
+    gap_parts,
+    quotient_mask,
+    square_free_divisors,
+)
 from descyc.cyclic import beta_cyc_mask, cyclic_eulerian
 from descyc.linear import Strategy, beta_mask, eulerian, multinomial
 
@@ -44,6 +51,25 @@ def test_beta_from_beta_cyc_pointwise(case):
         sign = (-1) ** (len(elements) - len(kept))
         total += sign * (n // d) * beta_cyc_mask(n // d, quotient)
     assert total == beta_mask(n, mask)
+
+
+@PROPERTY
+@given(st.one_of(descent_sets(sizes=st.integers(3, MAX_N), max_size=3),
+                 descent_sets(sizes=st.integers(3, MAX_N))),
+       st.booleans())
+def test_quotient_inequality(case, complement):
+    # conjectured (README): beta_n(I) >= (n-1) * beta_{n/d}(I/d) for every
+    # square-free d > 1 dividing n and every proper nonempty I.  About half
+    # the draws have at most three elements and half are complemented, so
+    # sparse and co-sparse sets come up often
+    n, mask = case
+    if complement:
+        mask ^= (1 << (n - 1)) - 1
+    assume(mask not in (0, (1 << (n - 1)) - 1))
+    beta = beta_mask(n, mask)
+    for d, _ in square_free_divisors(n):
+        if d > 1:
+            assert beta >= (n - 1) * beta_mask(n // d, quotient_mask(mask, d, n)), d
 
 
 @PROPERTY

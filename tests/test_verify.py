@@ -119,3 +119,33 @@ def test_a_periodic_word_flagged_primitive_fails_the_primitive_words(monkeypatch
     result = verify._check_primitive_words(4)
     assert not result.ok
     assert result.witness == "q=1: 1 != 4 * 0"
+
+
+def _plant_alpha_cyc(monkeypatch, n, elements, error):
+    alpha_cyc = cyclic.alpha_cyc_mask
+    planted_mask = sum(1 << (i - 1) for i in elements)
+
+    def planted(m, mask):
+        return alpha_cyc(m, mask) + (error if (m, mask) == (n, planted_mask) else 0)
+
+    monkeypatch.setattr(cyclic, "alpha_cyc_mask", planted)
+
+
+def test_alpha_cyc_error_at_a_shared_prime_set_breaks_the_bound(monkeypatch):
+    assert verify._check_alpha_deviation_bound(6).ok
+    # {2, 4} shares the prime 2 with n = 6: alpha = 6!/(2! 2! 2!) = 90 and
+    # alpha_cyc = 14, so 6 * (14 + 100) - 90 = 594 and the deviation 33/5
+    # passes d(6) / sqrt(6) = 4 / sqrt(6)
+    _plant_alpha_cyc(monkeypatch, 6, (2, 4), 100)
+    result = verify._check_alpha_deviation_bound(6)
+    assert not result.ok
+    assert result.witness == "max deviation 33/5"
+
+
+def test_alpha_cyc_error_at_a_coprime_set_is_for_the_gcd_shortcuts(monkeypatch):
+    # {1} shares no prime with n = 6, so the bound never reads it
+    _plant_alpha_cyc(monkeypatch, 6, (1,), 100)
+    assert verify._check_alpha_deviation_bound(6).ok
+    result = verify._check_gcd_shortcuts(6)
+    assert not result.ok
+    assert result.witness == "alpha case at I={1}"
