@@ -1,7 +1,9 @@
 import json
 import math
+import operator
 import time
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 
@@ -11,6 +13,7 @@ from descyc.asymptotics import (
     EPSILON_DENOMINATOR_CAP,
     SCAN_CAP,
     Family,
+    _completion_floors,
     _exhaustive_scan,
     _prefix_max_levels,
     beta_deviation_scan,
@@ -165,10 +168,14 @@ def test_pruned_walk_node_counts(monkeypatch):
         return psi_step(psi, descent)
 
     monkeypatch.setattr(asymptotics, "psi_step", counted)
-    for n, expected in ((16, 2_818), (20, 11_934), (24, 50_510)):
+    for family, expected in ((Family.all_proper(16), 734),
+                             (Family.all_proper(20), 1_998),
+                             (Family.all_proper(24), 5_602),
+                             (Family.all_proper(32), 46_218),
+                             (Family.alt_threshold(20, Fraction(49, 100)), 23_544)):
         calls.clear()
-        beta_deviation_scan(Family.all_proper(n))
-        assert len(calls) == expected, n
+        beta_deviation_scan(family)
+        assert len(calls) == expected, family
 
 
 def test_all_proper_maximum_closed_form():
@@ -215,29 +222,41 @@ def test_quotient_inequality_over_whole_tables():
 
 
 def _skipped_nodes(family):
-    """The walk's report on family, and every node (mask, p) with p < n
-    whose members it counted without descending below it."""
+    """Every node (mask, p) with p < n whose members the walk over family
+    counted without descending below it, mapped to the incumbent
+    (num, den, mask) it held when it skipped that node."""
     calls = []
+    incumbent = [None]
+    better = asymptotics._better
+
+    def logged_better(a, b):
+        incumbent[0] = better(a, b)
+        return incumbent[0]
 
     class Logged(Family):
         def members_below(self, mask, p):
-            calls.append((mask, p))
+            calls.append((mask, p, incumbent[0]))
             return super().members_below(mask, p)
 
-    report = beta_deviation_scan(Logged(
-        family.n, family.kind, family.ell, family.pattern, family.epsilon))
-    # a node the walk expanded is a proper prefix of a later call
-    expanded = {(mask & ((1 << (p - 1)) - 1), p) for mask, q in calls for p in range(1, q)}
-    skipped = {(mask, p) for mask, p in calls if p < family.n} - expanded
-    return report, skipped
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(asymptotics, "_better", logged_better)
+        beta_deviation_scan(Logged(
+            family.n, family.kind, family.ell, family.pattern, family.epsilon))
+    # a node the walk expanded is a proper prefix of a later call; the walk
+    # calls members_below on a node only while it visits it, and the
+    # incumbent only changes at a leaf
+    expanded = {(mask & ((1 << (p - 1)) - 1), p)
+                for mask, q, _ in calls for p in range(1, q)}
+    return {(mask, p): best for mask, p, best in calls
+            if p < family.n and (mask, p) not in expanded}
 
 
 def test_pruned_walk_skips_only_what_falls_short():
     # equal reports could hide an unsound skip whose subtree happens not to
     # hold the maximum: every member below a skipped node must deviate
-    # strictly less than the reported maximum
+    # strictly less than the incumbent the walk held when it skipped it
     audited = 0
-    for n in range(1, 17):
+    for n in range(1, 19):
         families = [Family.alt_threshold(n, eps) for eps in (
             Fraction(1, 4), Fraction(2, 5), Fraction(49, 100))]
         if n >= 3:
@@ -247,16 +266,19 @@ def test_pruned_walk_skips_only_what_falls_short():
         nums = signed_divisor_table(n, terms)
         betas = beta_table(n)
         for family in families:
-            report, skipped = _skipped_nodes(family)
-            top = report.max_deviation
-            members = set(family.members())
-            for mask, p in skipped:
-                below = [mask | rest << (p - 1) for rest in range(1 << (n - p))]
-                for m in members.intersection(below):
+            skipped = _skipped_nodes(family)
+            member = [False] * len(betas)
+            for m in family.members():
+                member[m] = True
+            for (mask, p), best in skipped.items():
+                # a node with no member is passed over, not pruned
+                for m in compress(range(mask, len(betas), 1 << (p - 1)),
+                                  member[mask::1 << (p - 1)]):
                     audited += 1
-                    assert (abs(nums[m]) * top.denominator
-                            < top.numerator * betas[m]), (family, mask, p, m)
-    assert audited > 100_000
+                    assert best is not None, (family, mask, p)
+                    assert abs(nums[m]) * best[1] < best[0] * betas[m], (
+                        family, mask, p, m)
+    assert audited > 1_000_000
 
 
 def test_niven_zigzag_bound():
@@ -278,13 +300,40 @@ def test_prefix_max_levels():
                 for x in range(1 << q)], (m, q)
 
 
+def test_completion_floors():
+    # floors[p][j] is the fewest length-n extensions of the unit rank-prefix
+    # vector at j, over every sequence of the n - p steps still to come
+    entries = 0
+    for n in range(1, 11):
+        floors = _completion_floors(n)
+        for p in range(1, n + 1):
+            for j in range(p):
+                fewest = math.inf
+                for steps in range(1 << (n - p)):
+                    psi = [int(i == j) for i in range(p)]
+                    for q in range(n - p):
+                        psi = psi_step(psi, bool(steps >> q & 1))
+                    fewest = min(fewest, sum(psi))
+                assert floors[p][j] == fewest, (n, p, j)
+                entries += 1
+    assert entries == 220
+
+
 def test_prefix_lower_bound():
-    # the walk bounds beta_n below by beta_p of the first p - 1 bits
+    # the walk bounds beta_n below by psi . floors[p] for the rank-prefix
+    # vector psi of the first p - 1 bits, which is at least beta_p of them
     for n in range(1, 13):
+        floors = _completion_floors(n)
         for mask in range(1 << (n - 1)):
             value = beta_mask(n, mask)
+            psi = [1]
             for p in range(1, n + 1):
-                assert beta_mask(p, mask & ((1 << (p - 1)) - 1)) <= value, (n, mask, p)
+                assert sum(psi) == beta_mask(p, mask & ((1 << (p - 1)) - 1))
+                floor = sum(map(operator.mul, psi, floors[p]))
+                assert sum(psi) <= floor <= value, (n, mask, p)
+                if p < n:
+                    psi = psi_step(psi, bool(mask >> (p - 1) & 1))
+            assert floor == value, (n, mask)
 
 
 def test_beta_scan_errors():
