@@ -161,13 +161,14 @@ class Family:
 
     def members(self) -> Iterator[int]:
         """Member masks, ascending."""
-        n, eps = self.n, self.epsilon
+        n = self.n
         if self.kind == "all-proper":
             return iter(range(1, (1 << (n - 1)) - 1))
         if self.kind == "periodic":
             return iter((self._periodic_mask(),))
+        least = self._min_alternation
         return (mask for mask in range(1 << (n - 1))
-                if _alt_qualifies(alternation_mask(mask, n).bit_count(), n, eps))
+                if alternation_mask(mask, n).bit_count() >= least)
 
 
 def _alt_qualifies(alt: int, n: int, epsilon: Fraction) -> bool:

@@ -8,7 +8,8 @@ evidence rather than a tautology.
 One depth-first sweep over S_n (brute_tables, memoised per n) tallies
 permutations by cycle type and descent set: a shared prefix fixes its
 descent bits once, and cycles are tracked as open paths joined or closed
-in O(1) per placed value.  Runs of ascents and descents depend only on
+in O(1) per placed value; one call places the last three values and
+emits their six permutations.  Runs of ascents and descents depend only on
 the descent set, so the pattern profile is read from those tallies;
 brute_avoiders and enumerate_permutations still walk S_n one permutation
 at a time and stay as the references for both.
@@ -133,9 +134,12 @@ def brute_tables(
     Placing pos -> head[e] closes pos's path into a cycle when e == pos and
     otherwise joins pos's path onto e's.  Each closed cycle of length L
     adds (n + 1)**(L - 1) to an integer code, decoded to its cycle type
-    once at the end; the last two positions emit both leaves in one call.
-    The overall row is the column sum of the per-type rows.  The result is
-    memoised per n, so the per-type map is read-only.
+    once at the end.  The sweep stops at position n - 3, where three open
+    paths are left: that position closes its own path or joins it onto one
+    of the other two, and each of those three choices leaves two paths with
+    two ways to finish, so one call emits all six leaves.  n = 1 and n = 2
+    are written out.  The overall row is the column sum of the per-type
+    rows.  The result is memoised per n, so the per-type map is read-only.
     """
     check_size("enumeration", n, 1, ENUMERATION_CAP)
     size = 1 << (n - 1)
@@ -143,23 +147,39 @@ def brute_tables(
     rows: defaultdict[int, list[int]] = defaultdict(lambda: [0] * size)
     if n == 1:
         rows[cycle_code[1]][0] = 1
+    elif n == 2:
+        rows[2 * cycle_code[1]][0] = 1  # 12: two fixed points
+        rows[cycle_code[2]][1] = 1  # 21: one transposition, one descent
     else:
         head = list(range(n))
         length = [1] * n
-        last = n - 2
-        before, between = 1 << last >> 1, 1 << last
+        # the last three positions, and the descent bits into each of them
+        first, second, third = n - 3, n - 2, n - 1
+        into, mid, end = 1 << first >> 1, 1 << first, 1 << second
 
         def sweep(pos: int, prev: int, mask: int, code: int) -> None:
-            if pos == last:
-                x, y = head[last], head[n - 1]
-                lx, ly = length[last], length[n - 1]
-                # last -> x, n-1 -> y: two cycles; swapped: one merged cycle
-                rows[code + cycle_code[lx] + cycle_code[ly]][
-                    mask | (before if prev > x else 0)
-                    | (between if x > y else 0)] += 1
-                rows[code + cycle_code[lx + ly]][
-                    mask | (before if prev > y else 0)
-                    | (between if y > x else 0)] += 1
+            if pos == first:
+                # the open paths ending at the last three positions start at
+                # x, y and z.  Per choice at the first of them, the first
+                # leaf closes the two paths left and the second merges them
+                # into one cycle.  Indexing, not slicing, allocates nothing.
+                x, y, z = head[first], head[second], head[third]
+                lx, ly, lz = length[first], length[second], length[third]
+                step = mask | into if prev > x else mask
+                rows[code + cycle_code[lx] + cycle_code[ly] + cycle_code[lz]][
+                    step | (mid if x > y else 0) | (end if y > z else 0)] += 1
+                rows[code + cycle_code[lx] + cycle_code[ly + lz]][
+                    step | (mid if x > z else 0) | (end if z > y else 0)] += 1
+                step = mask | into if prev > y else mask
+                rows[code + cycle_code[lx + ly] + cycle_code[lz]][
+                    step | (mid if y > x else 0) | (end if x > z else 0)] += 1
+                rows[code + cycle_code[lx + ly + lz]][
+                    step | (mid if y > z else 0) | (end if z > x else 0)] += 1
+                step = mask | into if prev > z else mask
+                rows[code + cycle_code[ly] + cycle_code[lx + lz]][
+                    step | (mid if z > y else 0) | (end if y > x else 0)] += 1
+                rows[code + cycle_code[lx + ly + lz]][
+                    step | (mid if z > x else 0) | (end if x > y else 0)] += 1
                 return
             bit = 1 << pos >> 1
             start, grow = head[pos], length[pos]

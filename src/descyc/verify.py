@@ -314,21 +314,26 @@ def _check_type_sums(n: int):
 @_check("factorization laws length={}")
 def _check_factorization_laws(length: int):
     """Duval's factors of every word over {1, 2, 3} concatenate to the
-    word, weakly decrease and are Lyndon.  A factor's Lyndon flag comes from
-    the oracle's rotation sweep at the factor's rank: the base-3 digits of
-    the word's rank that it spans."""
+    word, weakly decrease and are Lyndon.  After one comparison of the
+    concatenation, a single pass over the factors checks that each is no
+    greater than the one before and carries the LYNDON flag.  A factor's
+    flag comes from the oracle's rotation sweep at the factor's rank: the
+    base-3 digits of the word's rank that it spans."""
     flags, powers = oracle._flag_tables(length, 3)
     for rank, word in enumerate(itertools.product((1, 2, 3), repeat=length)):
         factors = lyndon.lyndon_factorize(word)
-        if (sum(factors, ()) != word
-                or any(f < g for f, g in itertools.pairwise(factors))):
+        if sum(factors, ()) != word:
             return False, f"word={word}"
         rest = length  # letters after factor f
+        before = word  # f's predecessor; the first factor, a prefix, is at most the word
         for f in factors:
             m = len(f)
             rest -= m
-            if not flags[m][rank // powers[rest] % powers[m]] & oracle.LYNDON:
+            # an empty factor is not Lyndon (and has no flag table)
+            if (before < f or not m
+                    or not flags[m][rank // powers[rest] % powers[m]] & oracle.LYNDON):
                 return False, f"word={word}"
+            before = f
     return True, ""
 
 

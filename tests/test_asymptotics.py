@@ -60,6 +60,13 @@ def test_family_members():
     for n in range(1, 13):
         fam = Family.alt_threshold(n, Fraction(2, 5))
         assert len(list(fam.members())) == fam.member_count(), n
+    # members() compares alternation counts with the least qualifying one;
+    # the exact power comparison of _alt_qualifies is the reference
+    for eps in (Fraction(1, 4), Fraction(2, 5), Fraction(49, 100)):
+        for n in range(1, 17):
+            expected = [mask for mask in range(1 << (n - 1)) if asymptotics._alt_qualifies(
+                alternation_mask(mask, n).bit_count(), n, eps)]
+            assert list(Family.alt_threshold(n, eps).members()) == expected, (eps, n)
     # the walk skips prefixes with no member and adds members_below for
     # every subtree it prunes
     for n in range(1, 11):

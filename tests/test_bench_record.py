@@ -86,3 +86,29 @@ def test_source_state_names_the_measured_tree(tmp_path):
         assert state == {"rev": head, "dirty": True, "diff_sha256": diff}
         hashes.add(diff)
     assert len(hashes) == 2 and empty not in hashes  # the hash follows the diff
+
+
+PAIRS = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+def _load_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pair_summary_counts_wins_and_compares_with_the_spread():
+    summarize = _load_pairs().summarize
+    parent = [30, 32, 31, 29, 33]
+    change = [25, 26, 31, 24, 27]  # pair 2 is a tie
+    assert summarize(parent, change, "lower") == {
+        "parent_median": 31, "parent_quartiles": (30, 32),
+        "change_median": 26, "change_quartiles": (25, 27),
+        "gain": 5, "spread": 2, "wins": 4, "pairs": 5,
+    }
+    higher = summarize(parent, change, "higher")
+    assert (higher["gain"], higher["wins"]) == (-5, 0)
+    one = summarize([2.0], [1.0], "lower")
+    assert one["parent_quartiles"] == (2.0, 2.0) and one["spread"] == 0
+    assert (one["gain"], one["wins"]) == (1.0, 1)

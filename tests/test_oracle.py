@@ -121,8 +121,17 @@ def test_brute_tables_class_sizes_and_reflection():
 
 
 def test_brute_tables_edges():
-    _, _, typed = brute_tables(1)
-    assert {t: list(table.counts) for t, table in typed.items()} == {(1,): [1]}
+    # n = 1 and 2 are written out; at n = 3 the three-position finish
+    # starts at position 0, with no descent bit before it
+    rows = {
+        1: {(1,): [1]},
+        2: {(1, 1): [1, 0], (2,): [0, 1]},  # 12, 21
+        # 123; 213, 132, 321; 312, 231
+        3: {(1, 1, 1): [1, 0, 0, 0], (2, 1): [0, 1, 1, 1], (3,): [0, 1, 1, 0]},
+    }
+    for n, want in rows.items():
+        _, _, typed = brute_tables(n)
+        assert {t: list(table.counts) for t, table in typed.items()} == want, n
     with pytest.raises(DomainError):
         brute_tables(0)
     start = time.perf_counter()

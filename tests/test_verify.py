@@ -74,6 +74,35 @@ def test_duval_with_a_strict_comparison_fails_the_factorization_laws(monkeypatch
     assert result.witness == "word=(1, 1, 2)"
 
 
+_duval = lyndon.lyndon_factorize
+
+# planted factorizers, each breaking one law of the check (Duval's factors
+# reversed break two), with the first word each fails at length 3
+FACTORIZER_PLANTS = [
+    # the factors of all but the last letter: too short to concatenate
+    pytest.param(lambda word: _duval(word[:-1]), "word=(1, 1, 1)", id="drop last letter"),
+    # ordered Lyndon letters, as many as the word has, but all of them 1
+    pytest.param(lambda word: [(1,)] * len(word), "word=(1, 1, 2)", id="all ones"),
+    # a first factor that is not the word's prefix, and increasing factors
+    pytest.param(lambda word: _duval(word)[::-1], "word=(1, 2, 1)", id="reversed factors"),
+    # single letters are Lyndon and concatenate, but increase at an ascent
+    pytest.param(lambda word: [(a,) for a in word], "word=(1, 1, 2)", id="single letters"),
+    # the whole word concatenates and is ordered, but need not be Lyndon
+    pytest.param(lambda word: [tuple(word)], "word=(1, 1, 1)", id="whole word"),
+    # an empty last factor changes no concatenation or order, and is no
+    # Lyndon word: a failed line, not a crash on its missing flag table
+    pytest.param(lambda word: [*_duval(word), ()], "word=(1, 1, 1)", id="empty factor"),
+]
+
+
+@pytest.mark.parametrize("planted, witness", FACTORIZER_PLANTS)
+def test_each_factorization_law_names_its_first_word(monkeypatch, planted, witness):
+    monkeypatch.setattr(lyndon, "lyndon_factorize", planted)
+    result = verify._check_factorization_laws(3)
+    assert not result.ok
+    assert result.witness == witness
+
+
 @pytest.fixture
 def fresh_word_counts():
     # the planted fillings below must not be served from, or left in, the memo

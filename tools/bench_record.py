@@ -68,6 +68,38 @@ def source_state(root: Path) -> dict:
             "diff_sha256": None if diff is None else hashlib.sha256(diff).hexdigest()}
 
 
+def record(root: Path, workload: str, seed: int, trace: int) -> tuple[int, dict | None]:
+    """Byte-compile root's src/ and run its perfbench once.
+
+    Returns run.py's exit code and, when it succeeded, the record's
+    command, source and parsed output (None otherwise)."""
+    root = root.resolve()
+    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    source = source_state(root)
+    compileall.compile_dir(root / "src", quiet=1)
+    cmd = ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run([sys.executable, *cmd], cwd=root, stdout=subprocess.PIPE,
+                          text=True)
+    if done.returncode != 0:
+        print(f"bench_record: run.py exited with code {done.returncode}", file=sys.stderr)
+        return done.returncode, None
+    return 0, {"command": ["python3", *cmd], "source": source,
+               **parse_output(done.stdout)}
+
+
+def write(label: str, doc: dict) -> None:
+    """Write one record to BENCH_<label>.json at the root of this repository."""
+    out = ROOT / f"BENCH_{label}.json"
+    out.write_text(json.dumps({"label": label, **doc}, indent=2) + "\n")
+    print(f"wrote {out.name}")
+
+
+def check_label(parser: argparse.ArgumentParser, label: str) -> None:
+    if not label.replace("_", "").replace("-", "").isalnum():
+        parser.error(f"label must be letters, digits, '_' or '-': {label!r}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
@@ -77,25 +109,11 @@ def main(argv=None) -> int:
                         help="checkout whose perfbench/run.py is run")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
-    if not args.label.replace("_", "").replace("-", "").isalnum():
-        parser.error(f"label must be letters, digits, '_' or '-': {args.label!r}")
-    root = args.root.resolve()
-    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
-    source = source_state(root)
-    compileall.compile_dir(root / "src", quiet=1)
-    cmd = ["perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(seconds), "--trace", str(args.trace)]
-    done = subprocess.run([sys.executable, *cmd], cwd=root, stdout=subprocess.PIPE,
-                          text=True)
-    if done.returncode != 0:
-        print(f"bench_record: run.py exited with code {done.returncode}", file=sys.stderr)
-        return done.returncode
-    doc = {"label": args.label, "command": ["python3", *cmd], "source": source,
-           **parse_output(done.stdout)}
-    out = ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out.name}")
-    return 0
+    check_label(parser, args.label)
+    code, doc = record(args.root, args.workload, args.seed, args.trace)
+    if doc is not None:
+        write(args.label, doc)
+    return code
 
 
 if __name__ == "__main__":
