@@ -12,8 +12,9 @@ negative count means a bug and aborts loudly.
 The multiples-of-k forms, and the alternating ones through
 ``linear.euler_zigzag`` (k = 2), read the generalized zigzag numbers from
 ``linear.generalized_euler``, one prefix DP per k, while ``beta_cyc_mask``
-runs the pointwise ``beta`` DP at each quotient set, so the ``verify``
-check "kz cycles vs beta_cyc" computes each value twice, by two routes.
+runs the pointwise ``beta`` top-bit recurrence at each quotient set, so the
+``verify`` check "kz cycles vs beta_cyc" computes each value twice, by two
+routes.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from .linear import (
     check_power_sum,
     euler_zigzag,
     generalized_euler,
-    power_sum,
     power_sum_row,
     power_terms,
+    short_power_sum,
 )
 
 
@@ -117,9 +118,9 @@ def beta_cyc_table(n: int) -> list[Count]:
     return [exact_div(total, n, "beta_cyc") for total in totals]
 
 
-def _eulerian_powers(n: int, k: int) -> list[int]:
-    """sum over square-free d | n of mu(d) * i**(n/d), for i = 1..k."""
-    return power_terms(k, [(mu, n // d) for d, mu in square_free_divisors(n)])
+def _eulerian_terms(n: int) -> list[tuple[int, int]]:
+    """(mu(d), n/d) for the square-free divisors d of n."""
+    return [(mu, n // d) for d, mu in square_free_divisors(n)]
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -129,17 +130,20 @@ def cyclic_eulerian(n: int, k: int) -> Count:
     Summing the main theorem over the descent sets of each size gives
     n * c(n, k) as the sum over square-free d | n of mu(d) times the
     power sum with exponent n/d, the sum over i = 1..k of
-    (-1)**(k-i) * C(n+1, k-i) * i**(n/d).  Raises CapacityError when k * n
-    exceeds linear.POWER_SUM_CAP, before any power or divisor is computed.
+    (-1)**(k-i) * C(n+1, k-i) * i**(n/d).  Each power sum is taken from its
+    shorter end, min(k, n+1-k) (linear.short_power_sum).  Raises
+    CapacityError when k * n exceeds linear.POWER_SUM_CAP, for the k asked,
+    before any power or divisor is computed.
     """
     check_power_sum("cyclic eulerian", n, k)
-    return exact_div(power_sum(n, _eulerian_powers(n, k)), n, "cyclic_eulerian")
+    total = short_power_sum(n, k, _eulerian_terms(n))
+    return exact_div(total, n, "cyclic_eulerian")
 
 
 def cyclic_eulerian_row(n: int) -> list[Count]:
     """cyclic_eulerian(n, k) for k = 1..n, from one list of powers."""
     check_power_sum("cyclic eulerian", n, n)
-    totals = power_sum_row(n, _eulerian_powers(n, n))
+    totals = power_sum_row(n, power_terms(n, _eulerian_terms(n)))
     return [exact_div(total, n, "cyclic_eulerian") for total in totals]
 
 

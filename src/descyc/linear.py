@@ -1,14 +1,18 @@
 """Counting all permutations by descent set: alpha, beta, and the classical
 specializations (Eulerian numbers, zigzag numbers, generalized zigzags).
 
-Two independent routes to beta at one mask are kept deliberately separate
-so that one can validate the other: a rank-prefix dynamic program, and
-inclusion-exclusion over subsets of multinomial coefficients.  Whole
-tables take a third route that shares no code with either, the top-bit
-recurrence beta_n(S u {k}) = C(n, k) * beta_k(S) - beta_n(S) for S inside
-[k-1]; the tests compare it with the dynamic program.  The zigzag
+Pointwise beta runs the top-bit recurrence
+beta_n(S u {k}) = C(n, k) * beta_k(S) - beta_n(S) for S inside [k-1] over
+the elements of I, or of its complement when that is smaller, so it costs
+O(|I|**2) big-integer steps.  Whole tables run the same recurrence over
+every mask at once.  Two routes check it and share no code with it: a
+rank-prefix dynamic program (``psi_step``, which also drives the
+generalized zigzag sequences, the scan walk and ``patterns``), folded in
+the tests, and inclusion-exclusion over subsets of multinomial
+coefficients, kept here as ``Strategy.INCLUSION_EXCLUSION``.  The zigzag
 numbers are the generalized zigzags at k = 2, read from their sequence;
-the tests check them against the other two routes.
+the tests check them against the other routes.  Eulerian power sums are
+taken from the shorter end, min(k, n+1-k).
 """
 
 from __future__ import annotations
@@ -27,13 +31,14 @@ from .core import (
     MEMO_SIZE,
     capped_sequence,
     check_size,
+    mask_elements,
     signed_submask_sum,
     small_table_cache,
 )
 
 
 class Strategy(enum.Enum):
-    DP = "dp"
+    DP = "dp"  # the top-bit recurrence over the elements of I
     INCLUSION_EXCLUSION = "inclusion-exclusion"
 
 
@@ -76,7 +81,7 @@ def alpha_mask(n: int, mask: int) -> Count:
 
 
 def psi_step(psi: list[Count], descent: bool) -> list[Count]:
-    """One step of the rank-prefix recurrence of the beta DP.
+    """One step of the rank-prefix dynamic program for beta.
 
     psi[j] counts the arrangements of a length-p prefix pattern with the
     prescribed descents whose last entry has relative rank j+1, so sum(psi)
@@ -94,17 +99,27 @@ def psi_step(psi: list[Count], descent: bool) -> list[Count]:
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _beta_dp(n: int, mask: int) -> Count:
-    psi = [1]
-    for pos in range(1, n):
-        psi = psi_step(psi, bool(mask >> (pos - 1) & 1))
-    return sum(psi)
+def _beta_top_bits(n: int, mask: int) -> Count:
+    # w -> n+1-w swaps I and its complement in [n-1]: run the smaller one.
+    # With s_1 < ... < s_k its elements, values[j] holds B_i(points[j]) =
+    # beta at points[j] of {s_1, ..., s_i}: B_0 = 1, and the top-bit
+    # recurrence gives B_i(m) = C(m, s_i) * B_(i-1)(s_i) - B_(i-1)(m)
+    # for every later point m, the last point being n.
+    if 2 * mask.bit_count() > n - 1:
+        mask ^= (1 << (n - 1)) - 1
+    points = [*mask_elements(mask), n]
+    values = [1] * len(points)
+    for i, s in enumerate(points[:-1]):
+        b = values[i]
+        values[i + 1:] = [math.comb(m, s) * b - v
+                          for m, v in zip(points[i + 1:], values[i + 1:])]
+    return values[-1]
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _beta_inclusion_exclusion(n: int, mask: int) -> Count:
     # Signed sum of alpha over all subsets of the mask; shares no code with
-    # the DP route.
+    # the top-bit route.
     return signed_submask_sum(mask, functools.partial(alpha_mask, n))
 
 
@@ -115,7 +130,7 @@ def beta(I: DescentSet, strategy: Strategy = Strategy.DP) -> Count:
 
 def beta_mask(n: int, mask: int, strategy: Strategy = Strategy.DP) -> Count:
     if strategy is Strategy.DP:
-        return _beta_dp(n, mask)
+        return _beta_top_bits(n, mask)
     return _beta_inclusion_exclusion(n, mask)
 
 
@@ -195,13 +210,28 @@ def power_sum_row(n: int, powers) -> list[Count]:
     return row
 
 
-def eulerian(n: int, k: int) -> Count:
-    """Permutations of n with exactly k-1 descents.
+def short_power_sum(n: int, k: int, terms) -> Count:
+    """power_sum(n, power_terms(k, terms)) for exponents 1 <= e <= n,
+    taken with min(k, n+1-k) powers.
 
-    Raises CapacityError when k * n exceeds POWER_SUM_CAP.
+    The series of that power sum is t * A_e(t) * (1-t)**(n-e), where A_e is
+    the Eulerian polynomial of e.  t * A_e(t) is palindromic of degree e+1,
+    so the series is palindromic of degree n+1 up to the sign (-1)**(n-e):
+    the coefficient of t**k is (-1)**(n-e) times that of t**(n+1-k).
+    """
+    if 2 * k > n + 1:
+        k = n + 1 - k
+        terms = [(-c if (n - e) & 1 else c, e) for c, e in terms]
+    return power_sum(n, power_terms(k, terms))
+
+
+def eulerian(n: int, k: int) -> Count:
+    """Permutations of n with exactly k-1 descents, A(n, k) = A(n, n+1-k).
+
+    Raises CapacityError when k * n exceeds POWER_SUM_CAP, for the k asked.
     """
     check_power_sum("eulerian", n, k)
-    return power_sum(n, power_terms(k, ((1, n),)))
+    return short_power_sum(n, k, ((1, n),))
 
 
 def kz_mask(n: int, k: int) -> int:
@@ -214,7 +244,7 @@ def kz_mask(n: int, k: int) -> int:
 
 # Largest n served by generalized_euler and euler_zigzag.  Each k keeps
 # one rank-prefix DP: built cold up to n = 2000 it takes about 1.5 s on
-# one core (k = 2 and 3, as long as one pointwise beta DP at n = 2000).
+# one core (k = 2 and 3, as long as one rank-prefix beta DP at n = 2000).
 # Once the term at the cap is built the DP is dropped and only the terms
 # stay, about 2.3 MB at k = 2.  The build's cost grows with the cube of n.
 GENERALIZED_EULER_CAP = 2000

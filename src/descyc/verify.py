@@ -290,14 +290,22 @@ def suite_corollaries(max_n: int) -> list[CheckResult]:
     return out
 
 
+def _evaluations(n: int, q: int) -> list[tuple[int, ...]]:
+    """The q-tuples of nonnegative integers that sum to n, in lexicographic
+    order: the evaluations of the words of length n over q letters."""
+    if q == 1:
+        return [(n,)]
+    return [(first, *rest) for first in range(n + 1)
+            for rest in _evaluations(n - first, q - 1)]
+
+
 @_check("word counts vs enumeration n={}")
 def _check_word_counts(n: int):
     for q in (1, 2, 3):
         tally = oracle.brute_words(n, q)
+        evaluations = _evaluations(n, q)
         for lam in lyndon.partitions_of(n):
-            for ev in itertools.product(range(n + 1), repeat=q):
-                if sum(ev) != n:
-                    continue
+            for ev in evaluations:
                 got = lyndon.count_words_by_type(lam, ev)
                 if got != tally.get((lam.parts, ev), 0):
                     return False, f"type={lam.parts} ev={ev} q={q}"
@@ -340,10 +348,7 @@ def _check_factorization_laws(length: int):
 @_check("necklace totals n={}")
 def _check_necklace_totals(n: int):
     for q in (1, 2, 3, 4):
-        total = sum(
-            lyndon.count_lyndon(n, ev)
-            for ev in itertools.product(range(n + 1), repeat=q)
-            if sum(ev) == n)
+        total = sum(lyndon.count_lyndon(n, ev) for ev in _evaluations(n, q))
         necklace = sum(mobius(d) * q ** (n // d) for d in divisors(n)) // n
         if total != necklace:
             return False, f"q={q}: {total} != {necklace}"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import assert_passed
+from conftest import assert_passed, rank_prefix_beta
 from descyc import linear, verify
 from descyc.core import (
     MEMO_SIZE,
@@ -57,8 +57,10 @@ def test_strategies_agree():
 
 
 def test_beta_table_matches_pointwise():
+    # both run the top-bit recurrence; the rank-prefix DP checks them
     for n in range(1, 15):
         table = beta_table(n)
+        assert table == [rank_prefix_beta(n, m) for m in range(1 << (n - 1))]
         assert table == [beta_mask(n, m) for m in range(1 << (n - 1))]
         assert alpha_table(n) == [alpha_mask(n, m) for m in range(1 << (n - 1))]
 
@@ -74,7 +76,7 @@ def test_beta_table_above_cache_matches_pointwise():
     masks = rng.sample(range(1 << (n - 1)), 300)
     masks += [0, 1, (1 << (n - 1)) - 1, 1 << (n - 2), kz_mask(n, 2), kz_mask(n, 3)]
     for mask in masks:
-        assert table[mask] == beta_mask(n, mask), mask
+        assert table[mask] == rank_prefix_beta(n, mask) == beta_mask(n, mask), mask
 
 
 def test_beta_total_is_factorial():

@@ -3,13 +3,15 @@
 Derandomized, so every run draws the same examples.
 """
 
+import functools
 import itertools
 import math
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from descyc import lyndon
+from conftest import rank_prefix_beta
+from descyc import lyndon, oracle
 from descyc.core import (
     MAX_N,
     DescentSet,
@@ -19,7 +21,7 @@ from descyc.core import (
     square_free_divisors,
 )
 from descyc.cyclic import beta_cyc_mask, cyclic_eulerian
-from descyc.linear import Strategy, beta_mask, eulerian, multinomial
+from descyc.linear import Strategy, beta_mask, eulerian, kz_mask, multinomial
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -76,12 +78,31 @@ def test_quotient_inequality(case, complement):
 @given(descent_sets(sizes=st.integers(2, MAX_N)), st.data())
 def test_beta_top_bit_recurrence(case, data):
     # beta_n(S u {k}) = C(n, k) * beta_k(S) - beta_n(S) for S inside [k-1],
-    # the recurrence linear.beta_table is built from
+    # the recurrence linear.beta_table and linear.beta_mask are built from,
+    # read off the rank-prefix DP
     n, mask = case
     k = data.draw(st.integers(1, n - 1))
     low = mask & ((1 << (k - 1)) - 1)
-    assert (beta_mask(n, low | 1 << (k - 1))
-            == math.comb(n, k) * beta_mask(k, low) - beta_mask(n, low))
+    assert (rank_prefix_beta(n, low | 1 << (k - 1))
+            == math.comb(n, k) * rank_prefix_beta(k, low) - rank_prefix_beta(n, low))
+
+
+@PROPERTY
+@given(descent_sets(), st.sampled_from(["drawn", "full", "alternating"]),
+       st.booleans())
+def test_beta_matches_rank_prefix_dp(case, shape, complement):
+    # pointwise beta against the rank-prefix DP, with no limit on |I|: the
+    # full and alternating sets and the complements of all three shapes are
+    # drawn, so the recurrence runs on both sides of its reflection
+    n, mask = case
+    full = (1 << (n - 1)) - 1
+    if shape == "full":
+        mask = full
+    elif shape == "alternating":
+        mask = kz_mask(n, 2)
+    if complement:
+        mask ^= full
+    assert beta_mask(n, mask) == rank_prefix_beta(n, mask)
 
 
 @PROPERTY
@@ -95,6 +116,13 @@ def sizes_and_indices(draw):
     """(n, k) with 1 <= k <= n <= MAX_N."""
     n = draw(st.integers(1, MAX_N))
     return n, draw(st.integers(1, n))
+
+
+@functools.cache
+def _oracle_rows():
+    """The row recurrence and its by-size divisor sum, up to MAX_N; they
+    share no code with the power sums."""
+    return oracle.eulerian_rows(MAX_N), oracle.cyclic_eulerian_rows(MAX_N)
 
 
 @PROPERTY
@@ -111,7 +139,11 @@ def test_eulerian_from_cyclic_eulerian(case):
             total += ((-1) ** (k - j) * m * math.comb(n - m, k - j)
                       * cyclic_eulerian(m, j))
     assert total == eulerian(n, k)
-    assert eulerian(n, k) == eulerian(n, n + 1 - k)
+    # both ends of the power-sum reflection against the oracle's rows
+    linear_rows, cycle_rows = _oracle_rows()
+    for j in (k, n + 1 - k):
+        assert eulerian(n, j) == linear_rows[n][j - 1], j
+        assert cyclic_eulerian(n, j) == cycle_rows[n][j - 1], j
 
 
 @PROPERTY

@@ -3,6 +3,8 @@ where it differs, so a planted off-by-one points at its own table; the
 closed-form check names the direction that differs, and each word check
 names the first word, type or alphabet where a planted bug shows."""
 
+import itertools
+
 import pytest
 
 from descyc import cyclic, linear, lyndon, oracle, patterns, verify
@@ -133,6 +135,16 @@ def test_fillings_off_by_one_fails_the_word_counts(monkeypatch, fresh_word_count
     result = verify._check_word_counts(3)
     assert not result.ok
     assert result.witness == "type=(1, 1, 1) ev=(3,) q=1"
+
+
+def test_evaluations_are_the_filtered_tuples_in_order():
+    # the word checks list each (n, q)'s evaluations once, in the order of
+    # the filtered product they replace, so each first witness stays put
+    for n in range(13):
+        for q in (1, 2, 3, 4):
+            assert verify._evaluations(n, q) == [
+                ev for ev in itertools.product(range(n + 1), repeat=q)
+                if sum(ev) == n], (n, q)
 
 
 def test_a_periodic_word_flagged_primitive_fails_the_primitive_words(monkeypatch):
