@@ -30,4 +30,4 @@ __all__ = [
     "mobius",
 ]
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

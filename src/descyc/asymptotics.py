@@ -27,7 +27,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, compress
 from operator import getitem, mul, or_
 from typing import Iterator, Optional
@@ -59,35 +58,32 @@ EPSILON_DENOMINATOR_CAP = 100_000
 
 @dataclass(frozen=True)
 class Family:
-    """A scan family of descent sets at one ambient size.
+    """A scan family of descent sets at one ambient size n: the single set
+    member when it is given, else the subsets of {1, ..., n-1} with at
+    least `least` alternations.  text names the family in reports and
+    refusals.  The constructors:
 
-    kind is one of:
-      all-proper     every nonempty proper subset of {1, ..., n-1}
+      all_proper     every nonempty proper subset, least = 1; n is at most
+                     ALL_PROPER_SCAN_CAP
       periodic       the single set {i : i mod ell in pattern} cut to [n-1],
                      which must be nonempty and proper
-      alt-threshold  subsets whose alternation number exceeds
+      alt_threshold  subsets whose alternation number exceeds
                      n/2 - n**(1 - epsilon)
 
-    n is at most ALL_PROPER_SCAN_CAP for all-proper and SCAN_CAP otherwise.
+    n is at most SCAN_CAP for the last two.
     """
 
     n: int
-    kind: str
-    ell: int = 0
-    pattern: tuple[int, ...] = ()
-    epsilon: Optional[Fraction] = None
-
-    def __post_init__(self):
-        # before any work that grows with n
-        cap = ALL_PROPER_SCAN_CAP if self.kind == "all-proper" else SCAN_CAP
-        if self.n > cap:
-            raise CapacityError(f"{self.describe()} scan capped at n = {cap}")
+    text: str
+    least: int = 0
+    member: Optional[int] = None
 
     @classmethod
     def all_proper(cls, n: int) -> "Family":
         if n < 3:
             raise DomainError(f"no proper nonempty subsets at n = {n}")
-        return cls(n, "all-proper")
+        _check_cap("all-proper", n, ALL_PROPER_SCAN_CAP)
+        return cls(n, "all-proper", least=1)
 
     @classmethod
     def periodic(cls, n: int, ell: int, pattern) -> "Family":
@@ -96,79 +92,69 @@ class Family:
             raise DomainError(f"pattern {pattern} not inside [1, {ell}]")
         if len(pat) == ell:
             raise DomainError("pattern must be proper within its period")
-        family = cls(n, "periodic", ell=ell, pattern=pat)
-        if family._periodic_mask() in (0, (1 << max(n - 1, 0)) - 1):
-            raise DomainError(
-                f"{family.describe()} has no proper nonempty member at n = {n}")
-        return family
+        text = f"periodic:{ell}:{','.join(map(str, pat))}"
+        _check_cap(text, n, SCAN_CAP)
+        member = sum(1 << (i - 1) for i in range(1, n) if (i - 1) % ell + 1 in pat)
+        if member in (0, (1 << max(n - 1, 0)) - 1):
+            raise DomainError(f"{text} has no proper nonempty member at n = {n}")
+        return cls(n, text, member=member)
 
     @classmethod
     def alt_threshold(cls, n: int, epsilon: Fraction) -> "Family":
         epsilon = Fraction(epsilon)
         if not 0 < epsilon < Fraction(1, 2):
             raise DomainError(f"epsilon must be in (0, 1/2), got {epsilon}")
-        check_size(f"alt-threshold:{epsilon}", n, 1, math.inf)
+        text = f"alt-threshold:{epsilon}"
+        check_size(text, n, 1, math.inf)
         if epsilon.denominator > EPSILON_DENOMINATOR_CAP:
             raise CapacityError(
                 f"alt-threshold epsilon denominator capped at {EPSILON_DENOMINATOR_CAP},"
                 f" got {epsilon.denominator}")
-        return cls(n, "alt-threshold", epsilon=epsilon)
-
-    def describe(self) -> str:
-        if self.kind == "periodic":
-            residues = ",".join(str(r) for r in self.pattern)
-            return f"periodic:{self.ell}:{residues}"
-        if self.kind == "alt-threshold":
-            return f"alt-threshold:{self.epsilon}"
-        return self.kind
-
-    def _periodic_mask(self) -> int:
-        mask = 0
-        for i in range(1, self.n):
-            if (i - 1) % self.ell + 1 in self.pattern:
-                mask |= 1 << (i - 1)
-        return mask
+        _check_cap(text, n, SCAN_CAP)
+        # qualifying only gets easier as the alternation number grows
+        least = next(a for a in range(n) if _alt_qualifies(a, n, epsilon))
+        return cls(n, text, least=least)
 
     def members_below(self, mask: int, p: int) -> Count:
         """Number of members whose bits 1..p-1 equal those of mask, which
         has no bit at p or above."""
-        n = self.n
-        if self.kind == "all-proper":
-            # all but the empty and the full set, where the prefix allows them
-            return ((1 << (n - p)) - (mask == 0)
-                    - (mask == (1 << (p - 1)) - 1))
-        if self.kind == "periodic":
-            return int(mask == self._periodic_mask() & ((1 << (p - 1)) - 1))
-        if p == 1 < n:
+        if self.member is not None:
+            return int(mask == self.member & ((1 << (p - 1)) - 1))
+        n, least = self.n, self.least
+        if least <= 1:
+            # every completion; least = 1 drops the empty and the full set
+            # where the prefix allows them
+            return (1 << (n - p)) - least * ((mask == 0) + (mask == (1 << (p - 1)) - 1))
+        if p == 1:
             # bit 1 is free as well, and either value tallies the same
             return 2 * self.members_below(0, 2)
         # once bit p-1 is fixed, the free bits p..n-1 set the alternations
         # at p-1..n-2 one to one, so the tally collapses to binomial sums
-        need = self._min_alternation - alternation_mask(mask, p).bit_count()
+        need = least - alternation_mask(mask, p).bit_count()
         free = n - p
         if need <= 0:
             return 1 << free
         return sum(math.comb(free, j) for j in range(need, free + 1))
-
-    @cached_property
-    def _min_alternation(self) -> int:
-        # qualifying only gets easier as the alternation number grows
-        return next(a for a in range(self.n)
-                    if _alt_qualifies(a, self.n, self.epsilon))
 
     def member_count(self) -> Count:
         return self.members_below(0, 1)
 
     def members(self) -> Iterator[int]:
         """Member masks, ascending."""
-        n = self.n
-        if self.kind == "all-proper":
-            return iter(range(1, (1 << (n - 1)) - 1))
-        if self.kind == "periodic":
-            return iter((self._periodic_mask(),))
-        least = self._min_alternation
+        if self.member is not None:
+            return iter((self.member,))
+        n, least = self.n, self.least
+        if least <= 1:
+            # every mask; least = 1 drops the empty and the full one
+            return iter(range(least, (1 << (n - 1)) - least))
         return (mask for mask in range(1 << (n - 1))
                 if alternation_mask(mask, n).bit_count() >= least)
+
+
+def _check_cap(text: str, n: int, cap: int) -> None:
+    # before any work that grows with n
+    if n > cap:
+        raise CapacityError(f"{text} scan capped at n = {cap}")
 
 
 def _alt_qualifies(alt: int, n: int, epsilon: Fraction) -> bool:
@@ -291,8 +277,8 @@ def _pruned_scan(family: Family) -> ScanReport:
         if any(bits):
             grows[p] = bits
     below = family.members_below
-    # every all-proper prefix short of a leaf has a member
-    sparse = family.kind != "all-proper"
+    # with least <= 1, every prefix short of a leaf has a member
+    sparse = family.member is not None or family.least > 1
     best: Optional[_Candidate] = None
     # a node is skipped only when bound / den < best_num / best_den
     # strictly, so exact ties are evaluated and _better settles them; with
@@ -332,7 +318,7 @@ def _report(family: Family, best: Optional[_Candidate], scanned: int,
             start: float) -> ScanReport:
     n = family.n
     if best is None:
-        raise DomainError(f"family {family.describe()} has no members at n = {n}")
+        raise DomainError(f"family {family.text} has no members at n = {n}")
     expected = family.member_count()
     if scanned != expected:
         raise InvariantViolation(
@@ -340,7 +326,7 @@ def _report(family: Family, best: Optional[_Candidate], scanned: int,
     num, den, mask = best
     return ScanReport(
         n=n,
-        family=family.describe(),
+        family=family.text,
         max_deviation=Fraction(num, den),
         argmax=DescentSet(n, mask),
         member_count=expected,

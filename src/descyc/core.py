@@ -332,11 +332,6 @@ class CountTable:
             raise DomainError(
                 f"table for n={self.n} needs {1 << (self.n - 1)} entries")
 
-    def get(self, I: DescentSet) -> Count:
-        if I.n != self.n:
-            raise DomainError(f"ambient mismatch: table n={self.n}, set n={I.n}")
-        return self.counts[I.mask]
-
     def to_csv(self) -> str:
         """Render as mask-ascending CSV with a header row.
 

@@ -123,9 +123,9 @@ def _beta_inclusion_exclusion(n: int, mask: int) -> Count:
     return signed_submask_sum(mask, functools.partial(alpha_mask, n))
 
 
-def beta(I: DescentSet, strategy: Strategy = Strategy.DP) -> Count:
+def beta(I: DescentSet) -> Count:
     """Permutations of the ambient n with descent set exactly I."""
-    return beta_mask(I.n, I.mask, strategy)
+    return beta_mask(I.n, I.mask)
 
 
 def beta_mask(n: int, mask: int, strategy: Strategy = Strategy.DP) -> Count:

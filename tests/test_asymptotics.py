@@ -60,6 +60,18 @@ def test_family_members():
     for n in range(1, 13):
         fam = Family.alt_threshold(n, Fraction(2, 5))
         assert len(list(fam.members())) == fam.member_count(), n
+    # a set is nonempty and proper exactly when it has an alternation, so
+    # all-proper is the rule least = 1
+    for n in range(3, 17):
+        with_alternation = [mask for mask in range(1 << (n - 1))
+                            if alternation_mask(mask, n).bit_count() >= 1]
+        members = list(Family.all_proper(n).members())
+        assert members == with_alternation == list(range(1, 2**(n - 1) - 1)), n
+    # least is the first alternation number that clears the threshold
+    for eps in (Fraction(1, 4), Fraction(2, 5), Fraction(49, 100)):
+        for n in range(1, 25):
+            least = next(a for a in range(n) if asymptotics._alt_qualifies(a, n, eps))
+            assert Family.alt_threshold(n, eps).least == least, (eps, n)
     # members() compares alternation counts with the least qualifying one;
     # the exact power comparison of _alt_qualifies is the reference
     for eps in (Fraction(1, 4), Fraction(2, 5), Fraction(49, 100)):
@@ -247,8 +259,7 @@ def _skipped_nodes(family):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(asymptotics, "_better", logged_better)
-        beta_deviation_scan(Logged(
-            family.n, family.kind, family.ell, family.pattern, family.epsilon))
+        beta_deviation_scan(Logged(family.n, family.text, family.least, family.member))
     # a node the walk expanded is a proper prefix of a later call; the walk
     # calls members_below on a node only while it visits it, and the
     # incumbent only changes at a leaf

@@ -112,3 +112,16 @@ def test_pair_summary_counts_wins_and_compares_with_the_spread():
     one = summarize([2.0], [1.0], "lower")
     assert one["parent_quartiles"] == (2.0, 2.0) and one["spread"] == 0
     assert (one["gain"], one["wins"]) == (1.0, 1)
+
+
+def test_pair_summary_flags_a_loss_past_the_bound():
+    pairs = _load_pairs()
+    parent = [1.0, 1.0, 1.0]
+    # a loss of exactly a quarter of the parent median is still within
+    for change, better, past in (([1.25] * 3, "lower", False), ([1.3] * 3, "lower", True),
+                                 ([0.75] * 3, "higher", False), ([0.7] * 3, "higher", True),
+                                 ([0.5] * 3, "lower", False)):
+        summary = pairs.summarize(parent, change, better, 0.25)
+        assert summary["past_bound"] is past, (change, better)
+        assert ("WORSE" in pairs.format_summary("wall_s", "s", summary)) is past
+    assert "past_bound" not in pairs.summarize(parent, [9.0] * 3, "lower")

@@ -195,7 +195,8 @@ def test_unbounded_inputs_capped(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1, argv
         assert code == 2 and not out and "capped at k*n = 10000000" in err, argv
-    # an over-cap scan exits 2 before any scan or any n-bit pattern mask
+    # an over-cap scan exits 2 before any scan, any n-bit pattern mask or
+    # any search for the alt-threshold's least alternation number
     calls = []
 
     def refuse(name):
@@ -205,8 +206,19 @@ def test_unbounded_inputs_capped(capsys, monkeypatch):
         return record
 
     monkeypatch.setattr(asymptotics, "beta_deviation_scan", refuse("scan"))
-    monkeypatch.setattr(asymptotics.Family, "_periodic_mask", refuse("mask"))
+    qualifies = asymptotics._alt_qualifies
+
+    def search_below_cap(alt, n, epsilon):
+        # an n-range builds each family up to the first n over the cap
+        if n > asymptotics.SCAN_CAP:
+            calls.append("threshold")
+        return qualifies(alt, n, epsilon)
+
+    monkeypatch.setattr(asymptotics, "_alt_qualifies", search_below_cap)
     for argv, message in [
+        # the member mask would be empty at n = 25, which is refused later
+        (("--family", "periodic:30:25", "--n", "25"),
+         "periodic:30:25 scan capped at n = 24"),
         (("--family", "periodic:2:1", "--n", "3000000"),
          "periodic:2:1 scan capped at n = 24"),
         (("--family", "all-proper", "--n-range", "29:33"),

@@ -241,11 +241,8 @@ def test_alternation():
 
 def test_count_table():
     table = CountTable(3, "beta", (1, 2, 2, 1))
-    assert table.get(DescentSet.from_elements(3, [1])) == 2
     body = table.to_csv()
     assert body.splitlines()[0] == "mask,set,count"
     assert '3,"1,2",1' in body
     with pytest.raises(DomainError):
         CountTable(3, "beta", (1, 2))
-    with pytest.raises(DomainError):
-        table.get(DescentSet(4))

@@ -144,7 +144,7 @@ def test_submask_check_flags_hand_written_walks(tmp_path):
 
 # Refusal texts kept out of core.check_size, each byte for byte, and why.
 KEPT_REFUSALS = {
-    ("asymptotics.__post_init__", "f'{self.describe()} scan capped at n = {cap}'"):
+    ("asymptotics._check_cap", "f'{text} scan capped at n = {cap}'"):
         "the scan cap names the family and has no ', got'",
     ("patterns._check_run_args", "f'needs n >= {least_n} and k >= 2, got {n}, {k}'"):
         "names both n and k",

@@ -12,7 +12,10 @@ prints, for each metric that BENCHMARK.json declares (the end-to-end ones,
 or the per-layer ones under --trace 1): each side's median and inclusive
 quartiles over the pairs, the change's median gain against the parent's
 interquartile spread, and in how many pairs the change was better (a tie
-counts for neither side).  It also prints the failed and attempted
+counts for neither side).  For an end-to-end metric it also prints whether
+the change's median is worse than the parent's by more than that metric's
+``bound``, a fraction of the parent median: the rule a change that claims
+no gain is held to.  It also prints the failed and attempted
 operations of each side.  The last pair is written to
 BENCH_<label>_parent.json and BENCH_<label>_change.json (label defaults
 to the workload) before the summary.  Exits 1 when a run fails, before
@@ -50,16 +53,18 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return low, high
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
+def summarize(parent: list[float], change: list[float], better: str,
+              bound: float | None = None) -> dict:
     """Medians, quartiles and wins of one metric over paired runs.
 
     parent[k] and change[k] come from pair k; better is "lower" or
     "higher".  gain is the parent's median minus the change's, signed so
     that a positive gain is an improvement, and spread is the parent's
-    interquartile range."""
+    interquartile range.  Given the metric's bound, past_bound says
+    whether the loss exceeds bound times the parent's median."""
     sign = 1 if better == "lower" else -1
     p_low, p_high = quartiles(parent)
-    return {
+    summary = {
         "parent_median": statistics.median(parent),
         "parent_quartiles": (p_low, p_high),
         "change_median": statistics.median(change),
@@ -69,14 +74,20 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change, strict=True)),
         "pairs": len(parent),
     }
+    if bound is not None:
+        summary["past_bound"] = -summary["gain"] > bound * abs(summary["parent_median"])
+    return summary
 
 
 def format_summary(name: str, unit: str, s: dict) -> str:
+    verdict = ("" if "past_bound" not in s else
+               "; WORSE than the parent past its bound" if s["past_bound"] else
+               "; within its bound of the parent")
     return (f"{name}: parent {s['parent_median']:.6g} [{s['parent_quartiles'][0]:.6g},"
             f" {s['parent_quartiles'][1]:.6g}] {unit}, change {s['change_median']:.6g}"
             f" [{s['change_quartiles'][0]:.6g}, {s['change_quartiles'][1]:.6g}] {unit};"
             f" gain {s['gain']:.6g} against parent spread {s['spread']:.6g};"
-            f" change better in {s['wins']}/{s['pairs']} pairs")
+            f" change better in {s['wins']}/{s['pairs']} pairs{verdict}")
 
 
 def main(argv=None) -> int:
@@ -119,7 +130,8 @@ def main(argv=None) -> int:
         values = {side: [d["result"]["metrics"][name]["value"] for d in docs[side]]
                   for side in docs}
         print(format_summary(name, metric["unit"],
-                             summarize(values["parent"], values["change"], metric["better"])))
+                             summarize(values["parent"], values["change"], metric["better"],
+                                       metric.get("bound"))))
     for side in ("parent", "change"):
         failed = sum(d["result"]["failed"] for d in docs[side])
         attempted = sum(d["result"]["attempted"] for d in docs[side])
