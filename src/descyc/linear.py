@@ -21,7 +21,7 @@ import enum
 import functools
 import itertools
 import math
-from operator import sub
+from operator import mul, sub
 
 from .core import (
     CapacityError,
@@ -177,8 +177,15 @@ def check_power_sum(what: str, n: int, k: int) -> None:
 
 
 def power_terms(k: int, terms) -> list[int]:
-    """The sum of c * i**e over (c, e) in terms, for i = 1..k."""
-    return [sum(c * i ** e for c, e in terms) for i in range(1, k + 1)]
+    """The sum of c * i**e over (c, e) in terms, for i = 1..k.
+
+    Each of the terms, at least one, is one column of k powers, and the
+    columns are summed entry by entry.
+    """
+    columns = [map(mul, itertools.repeat(c),
+                   map(pow, range(1, k + 1), itertools.repeat(e)))
+               for c, e in terms]
+    return list(map(sum, zip(*columns)))
 
 
 def power_sum(n: int, powers) -> Count:
@@ -283,6 +290,8 @@ def generalized_euler(n: int, k: int) -> Count:
     check_size("generalized zigzag", n, 1, GENERALIZED_EULER_CAP)
     if k >= n:
         return 1  # no multiple of k lies below n: only the identity
+    if k == 1:
+        return 1  # the descent set is [n-1]: only the decreasing permutation
     return _generalized_euler_terms(k)(n)
 
 

@@ -18,12 +18,16 @@ only on the nonzero parts of mu, sorted, so the count is memoized on
 of n as keys.
 
 The word count at the composition of I counts the permutations of type lam
-whose descent set lies inside I.  type_descent_table reads it at every
-mask of n and turns the row into exact counts with one subset Moebius
-transform of its own (linear.beta_table, which verify checks the type sums
-against, is built another way).  count_by_type_and_descents keeps the
-inclusion-exclusion over the subsets of one I: its 2^|I| terms cost less
-than a table of 2^(n-1).
+whose descent set lies inside I.  Both type counts read one word count per
+class of sorted parts, not per mask.  type_descent_table groups the masks
+of n by class in one pass and turns the row into exact counts with one
+subset Moebius transform of its own (linear.beta_table, which verify
+checks the type sums against, is built another way).
+count_by_type_and_descents takes the inclusion-exclusion over the subsets
+of one I class by class: _signed_classes sums the signs of the submasks
+per class by recursion on the lowest element of I, through O(|I|^2)
+memoized instances that counts at the same n share, so an exact count
+reads at most p(n) word counts where the submasks number 2^|I|.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, sub
 from typing import Iterator, Sequence
 
 from . import linear
@@ -44,7 +50,6 @@ from .core import (
     exact_div,
     gap_parts,
     mobius_sum,
-    signed_submask_sum,
     square_free_divisors,
 )
 
@@ -52,7 +57,7 @@ Word = tuple[int, ...]
 
 # Largest n served by the three type counts.  Types with many small parts
 # have the widest power-sum expansion: cold, on one core, the table of
-# (1^18) takes about 1.8 s, and its count at the full set 1.5 s.
+# (1^18) takes about 1.6 s, and its count at the full set 0.8 s.
 TYPE_CAP = 18
 
 
@@ -162,8 +167,9 @@ def _times(left: dict, right: dict) -> dict:
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _power_sum_expansion(lam: Partition) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """z_lam * L_lam in the power-sum basis, as (rho, coefficient) pairs.
+def _power_sum_expansion(lam: Partition) -> tuple[tuple, tuple[int, ...], int]:
+    """z_lam * L_lam in the power-sum basis: its rhos, their coefficients
+    in the same order, and z_lam, each built once per type.
 
     L_lam = prod_k h_m[L_k], with m the copies of k in lam, and
     k * L_k = sum over d | k of mu(d) * p_d^(k/d).  By h_m = sum over
@@ -186,7 +192,9 @@ def _power_sum_expansion(lam: Partition) -> tuple[tuple[tuple[int, ...], int], .
             for rho, c in term.items():
                 factor[rho] = factor.get(rho, 0) + c
         expansion = _times(expansion, factor)
-    return tuple((rho, c) for rho, c in expansion.items() if c)
+    terms = [(rho, c) for rho, c in expansion.items() if c]
+    return (tuple(rho for rho, _ in terms), tuple(c for _, c in terms),
+            _centralizer(lam.parts))
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -230,10 +238,11 @@ def count_words_by_type(lam: Partition, mu: Sequence[int]) -> Count:
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _words_by_type(lam: Partition, ev: tuple[int, ...]) -> Count:
-    # <L_lam, h_ev>, one integer sum over the expansion; any order of ev,
+    # <L_lam, h_ev>, one dot product over the expansion; any order of ev,
     # zeros allowed
-    total = sum(c * _fillings(rho, ev) for rho, c in _power_sum_expansion(lam))
-    return exact_div(total, _centralizer(lam.parts), "_words_by_type")
+    rhos, coefficients, z = _power_sum_expansion(lam)
+    total = sum(map(mul, coefficients, map(_fillings, rhos, repeat(ev))))
+    return exact_div(total, z, "_words_by_type")
 
 
 def _sorted_parts(n: int, mask: int) -> tuple[int, ...]:
@@ -241,24 +250,56 @@ def _sorted_parts(n: int, mask: int) -> tuple[int, ...]:
     return tuple(sorted(gap_parts(n, mask), reverse=True))
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _signed_classes(n: int, mask: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(sorted parts, signed count) over the submasks S of mask, ambient n.
+
+    A class's count sums (-1)^(|mask| - |S|) over the S whose composition
+    sorts to its parts; classes that sum to 0 are left out.  With e the
+    lowest element of mask, S either skips e, which flips the sign of each
+    class of the rest of mask, or cuts at e: its first part is e and its
+    other parts are those of a submask of the rest shifted down by e, in
+    ambient n - e.  So one mask reaches at most (|mask|+1)(|mask|+2)/2
+    instances, which counts at the same n share.
+    """
+    if not mask:
+        return (((n,), 1),)
+    low = mask & -mask
+    e = low.bit_length()
+    rest = mask ^ low
+    classes = {parts: -count for parts, count in _signed_classes(n, rest)}
+    for parts, count in _signed_classes(n - e, rest >> e):
+        key = tuple(sorted((e, *parts), reverse=True))
+        classes[key] = classes.get(key, 0) + count
+    return tuple((parts, count) for parts, count in classes.items() if count)
+
+
 def type_descent_table(lam: Partition) -> list[Count]:
     """Permutations of cycle type lam by exact descent set, every mask.
 
     Entry mask counts the permutations of type lam whose descent set is
     exactly the set of mask.  The word count at each mask's composition
-    counts those whose descent set lies inside it (Gessel-Reutenauer);
-    one subset Moebius transform turns those 2^(n-1) counts into exact
-    ones, in (n-1) * 2^(n-2) subtractions where inclusion-exclusion set by
-    set takes 3^(n-1) terms.  Raises CapacityError above TYPE_CAP.
+    counts those whose descent set lies inside it (Gessel-Reutenauer); it
+    depends only on the sorted parts, so one pass groups the 2^(n-1) masks
+    by those and reads one word count per class.  One subset Moebius
+    transform over blocks of the table turns the contained counts into
+    exact ones, in (n-1) * 2^(n-2) subtractions where inclusion-exclusion
+    set by set takes 3^(n-1) terms.  Raises CapacityError above TYPE_CAP.
     """
     check_size("type counts", lam.n, 1, TYPE_CAP)
     n = lam.n
-    table = [_words_by_type(lam, _sorted_parts(n, mask))
-             for mask in range(1 << (n - 1))]
-    for bit in range(n - 1):
-        for mask in range(len(table)):
-            if mask >> bit & 1:
-                table[mask] -= table[mask ^ 1 << bit]
+    words: dict[tuple[int, ...], Count] = {}  # one word count per class
+    table = []
+    for key in map(_sorted_parts, repeat(n), range(1 << (n - 1))):
+        if key not in words:
+            words[key] = _words_by_type(lam, key)
+        table.append(words[key])
+    step = 1
+    while step < len(table):
+        # the block [top, top + step) holds bit step; the one below lacks it
+        for top in range(step, len(table), 2 * step):
+            table[top:top + step] = map(sub, table[top:top + step], table[top - step:top])
+        step *= 2
     if min(table) < 0:
         raise InvariantViolation(f"negative exact count for type {lam.parts}")
     return table
@@ -268,16 +309,18 @@ def count_by_type_and_descents(lam: Partition, I: DescentSet, exact: bool = True
     """Permutations with cycle type lam and descent set related to I.
 
     With exact=False this is the count of those whose descent set is
-    contained in I; with exact=True, exactly I (by inclusion-exclusion).
-    Raises CapacityError above TYPE_CAP.
+    contained in I, one word count.  With exact=True it is exactly I: the
+    inclusion-exclusion over the submasks of I, read as one word count per
+    class of sorted parts that _signed_classes leaves nonzero, at most
+    p(n) of them.  Raises CapacityError above TYPE_CAP.
     """
     check_size("type counts", lam.n, 1, TYPE_CAP)
     if lam.n != I.n:
         raise DomainError(f"type size {lam.n} != ambient size {I.n}")
     if not exact:
         return _words_by_type(lam, _sorted_parts(I.n, I.mask))
-    total = signed_submask_sum(
-        I.mask, lambda sub: _words_by_type(lam, _sorted_parts(I.n, sub)))
+    total = sum(count * _words_by_type(lam, parts)
+                for parts, count in _signed_classes(I.n, I.mask))
     if total < 0:
         raise InvariantViolation(
             f"negative exact count for type {lam.parts}, set {I.to_text()!r}")

@@ -166,7 +166,9 @@ def test_generalized_euler_builds_no_sequence_it_does_not_need():
     terms = linear._generalized_euler_terms
     terms.cache_clear()
     empty = (0, 0, MEMO_SIZE, 0)  # hits, misses, maxsize, currsize
-    for n, k in [(1, 1), (5, 5), (5, 7), (GENERALIZED_EULER_CAP,) * 2]:
+    # k = 1 asks for the descent set [n-1]: the decreasing permutation
+    for n, k in [(1, 1), (5, 5), (5, 7), (GENERALIZED_EULER_CAP,) * 2,
+                 (2, 1), (7, 1), (GENERALIZED_EULER_CAP, 1)]:
         assert generalized_euler(n, k) == 1
     assert kz_cycles(GENERALIZED_EULER_CAP, GENERALIZED_EULER_CAP) == 0
     assert terms.cache_info() == empty
@@ -174,6 +176,9 @@ def test_generalized_euler_builds_no_sequence_it_does_not_need():
         with pytest.raises(CapacityError):
             count(GENERALIZED_EULER_CAP + 1, 2)
     assert terms.cache_info() == empty
+    # kz_cycles(12, 2) reads k' = 1 at d = 2 and 6, and k' = 2 at d = 1, 3
+    kz_cycles(12, 2)
+    assert terms.cache_info().currsize == 1
 
 
 def test_staircase_pair_identity():

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from descyc.core import (
     DomainError,
     mask_elements,
     square_free_divisors,
+    submasks,
 )
 from descyc.cyclic import alpha_cyc_mask, beta_cyc_mask, beta_cyc_table
 from descyc.linear import beta_table
@@ -184,6 +186,73 @@ def test_count_by_type_and_descents():
                 == row[mask]), (n, mask)
     with pytest.raises(DomainError):
         count_by_type_and_descents(Partition((2, 1)), DescentSet(4))
+
+
+def _brute_classes(n):
+    """Per mask of n, the signed tally {sorted parts: count} over its
+    submasks, zeros dropped, with the parts cut from the elements."""
+    keys = []
+    for mask in range(1 << (n - 1)):
+        cuts = (0, *mask_elements(mask), n)
+        keys.append(tuple(sorted((b - a for a, b in zip(cuts, cuts[1:])), reverse=True)))
+    rows = []
+    for mask in range(1 << (n - 1)):
+        tally = Counter()
+        for sub in submasks(mask):
+            tally[keys[sub]] += -1 if (mask ^ sub).bit_count() & 1 else 1
+        rows.append({key: count for key, count in tally.items() if count})
+    return rows
+
+
+def test_signed_classes_match_a_tally_over_submasks():
+    for n in range(1, 13):
+        for mask, expected in enumerate(_brute_classes(n)):
+            classes = lyndon._signed_classes(n, mask)
+            assert dict(classes) == expected, (n, mask)
+            assert len(classes) == len(expected), (n, mask)
+
+
+def test_exact_counts_read_one_word_count_per_class(monkeypatch):
+    # the full set of n holds every composition of n, so every partition
+    # of n is a class: 22 at n = 8 (the 2^7 submasks read 128 word counts
+    # one by one), 385 at n = 18
+    calls = []
+    words = lyndon._words_by_type
+
+    def counted(lam, ev):
+        calls.append(ev)
+        return words(lam, ev)
+
+    monkeypatch.setattr(lyndon, "_words_by_type", counted)
+    for n, classes in ((8, 22), (18, 385)):
+        full = DescentSet(n, (1 << (n - 1)) - 1)
+        for lam in (Partition((n,)), Partition((2,) * (n // 2))):
+            calls.clear()
+            count_by_type_and_descents(lam, full, exact=True)
+            assert len(calls) == len(set(calls)) == classes, (n, lam.parts)
+    calls.clear()
+    type_descent_table(Partition((8,)))
+    assert len(calls) == len(set(calls)) == 22
+
+
+def test_signed_classes_memo_grows_with_the_set_not_its_submasks():
+    # one cold count reaches the instances (n - c, the elements of I above
+    # some t >= c, less c) for c in {0} u I: at most (|I|+1)(|I|+2)/2 of
+    # them, which is at most |I|^2 + 1 once |I| >= 3
+    rng = random.Random(34)
+    cases = [(18, (1 << 17) - 1), (18, 0), (18, 1), (18, 1 << 16 | 1)]
+    cases += [(n, rng.getrandbits(n - 1)) for n in rng.choices(range(2, 19), k=40)]
+    for n, mask in cases:
+        size = mask.bit_count()
+        lyndon._signed_classes.cache_clear()
+        count_by_type_and_descents(Partition((n,)), DescentSet(n, mask))
+        entries = lyndon._signed_classes.cache_info().currsize
+        assert entries <= (size + 1) * (size + 2) // 2, (n, mask)
+        if size >= 3:
+            assert entries <= size * size + 1, (n, mask)
+    lyndon._signed_classes.cache_clear()
+    count_by_type_and_descents(Partition((18,)), DescentSet(18, (1 << 17) - 1))
+    assert lyndon._signed_classes.cache_info().currsize == 171
 
 
 def test_type_descent_tables_match_enumeration():

@@ -290,15 +290,61 @@ def test_orphan_check_resolves_bindings(tmp_path):
     assert _orphans(tmp_path) == {"lib.evaluation", "lib.period"}
 
 
+# Receivers whose type the AST shows to be a builtin container.
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.Tuple, ast.JoinedStr,
+               ast.DictComp, ast.ListComp, ast.SetComp)
+_CONSTRUCTORS = {"dict", "list", "set", "tuple", "str"}
+
+
+def _is_container(node: ast.AST, local_containers=frozenset()) -> bool:
+    """A dict, list, set, tuple or str literal or comprehension, a call to
+    one of those constructors, or a name in local_containers."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str)
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) in _CONSTRUCTORS
+    if isinstance(node, ast.Name):
+        return node.id in local_containers
+    return isinstance(node, _CONTAINERS)
+
+
+def _container_locals(fn: ast.FunctionDef) -> set[str]:
+    """The names that fn binds by assignment only to builtin containers,
+    parameters excepted."""
+    bound: dict[str, set[bool]] = {}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            pairs = [(target, node.value) for target in node.targets]
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            pairs = [(node.target, node.value)]
+        else:
+            continue
+        for target, value in pairs:
+            if isinstance(target, ast.Name):
+                bound.setdefault(target.id, set()).add(_is_container(value))
+    params = {arg.arg for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)}
+    return {name for name, kinds in bound.items() if kinds == {True}} - params
+
+
 def _unused_methods(src: Path = SRC) -> set[str]:
     """module.Class.method of each public method of a public class, outside
     the oracle module, whose name appears as no attribute anywhere in src
     but inside its own body.  Unlike _orphans this matches names: a method
     is reached through instances, whose bindings the source does not
-    show."""
+    show.  An attribute of a builtin container (a literal, a comprehension,
+    a constructor call, or a name that the innermost function around it
+    binds only to one of those) is not a use; any other receiver, a
+    parameter included, is."""
     methods, attrs = {}, []
     for stem, tree, _ in _modules(src):
-        attrs += [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        # ast.walk reaches an outer function before the functions nested in it
+        scope = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local_containers = _container_locals(fn)
+                scope.update((id(node), local_containers) for node in ast.walk(fn))
+        attrs += [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and not _is_container(node.value, scope.get(id(node), frozenset()))]
         if stem == "oracle":
             continue
         for top in tree.body:
@@ -329,15 +375,40 @@ def test_method_check_flags_unused_methods(tmp_path):
         "        return 1\n"
         "    def _private(self):\n"
         "        return 0\n"
+        "    def get(self, key):\n"
+        "        return key\n"
+        "    def items(self):\n"
+        "        return ()\n"
+        "    def update(self):\n"
+        "        return 0\n"
+        "    def keys(self):\n"
+        "        return 0\n"
+        "    def count(self, item):\n"
+        "        return 0\n"
+        "    def join(self, items):\n"
+        "        return 0\n"
         "class _Hidden:\n"
         "    def unused(self):\n"
         "        return 0\n")
+    # a local dict's .get, a dict literal's .items, a comprehension's
+    # .count and a str literal's .join do not reach Box; a parameter's
+    # .update and a name rebound to something else's .keys might, so they
+    # count
     (tmp_path / "app.py").write_text(
         "from .lib import Box\n"
-        "def main():\n"
-        "    return Box().used()\n")
+        "def main(box):\n"
+        "    table = {}\n"
+        "    seen: dict = dict()\n"
+        "    table.get(1), seen.get(2), {1: 2}.items(), [i for i in ()].count(1)\n"
+        "    ', '.join(())\n"
+        "    box.update()\n"
+        "    other = {}\n"
+        "    other = Box()\n"
+        "    return Box().used(), other.keys()\n")
     (tmp_path / "oracle.py").write_text(
         "class Reference:\n"
         "    def unused(self):\n"
         "        return 0\n")
-    assert _unused_methods(tmp_path) == {"lib.Box.recursive", "lib.Box.unused"}
+    assert _unused_methods(tmp_path) == {
+        "lib.Box.recursive", "lib.Box.unused", "lib.Box.get", "lib.Box.items",
+        "lib.Box.count", "lib.Box.join"}

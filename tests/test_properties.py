@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rank_prefix_beta
-from descyc import lyndon, oracle
+from descyc import linear, lyndon, oracle
 from descyc.core import (
     MAX_N,
     DescentSet,
@@ -232,3 +232,46 @@ def test_word_counts_by_type_sum_to_multinomial(case):
     n = sum(mu)
     assert sum(lyndon._words_by_type.__wrapped__(lam, shuffled)
                for lam in lyndon.partitions_of(n)) == multinomial(n, mu)
+
+
+@st.composite
+def typed_descent_sets(draw):
+    """(lam, n, mask) with n <= lyndon.TYPE_CAP and at most 12 elements;
+    lam is (n), (1^n), (2^(n/2)) or a partition of n drawn at random."""
+    n, mask = draw(descent_sets(sizes=st.integers(1, lyndon.TYPE_CAP), max_size=12))
+    shapes = [(n,), (1,) * n]
+    if n % 2 == 0:
+        shapes.append((2,) * (n // 2))
+    parts = draw(st.one_of(st.sampled_from(shapes),
+                           st.sampled_from(lyndon.partitions_of(n)).map(lambda p: p.parts)))
+    return lyndon.Partition(parts), n, mask
+
+
+@PROPERTY
+@given(typed_descent_sets())
+def test_type_counts_match_submask_inclusion_exclusion(case):
+    # the exact count reads one word count per class of sorted parts; here
+    # every submask of I reads its own, at its composition cut from its
+    # elements, signed by (-1)**(|I| - |S|).  The contained count is the
+    # word count at the composition of I itself
+    lam, n, mask = case
+    elements = _elements(n, mask)
+
+    def words(chosen):
+        cuts = (0, *chosen, n)
+        return lyndon.count_words_by_type(lam, [b - a for a, b in zip(cuts, cuts[1:])])
+
+    total = sum((-1) ** (len(elements) - size) * words(chosen)
+                for size in range(len(elements) + 1)
+                for chosen in itertools.combinations(elements, size))
+    I = DescentSet(n, mask)
+    assert lyndon.count_by_type_and_descents(lam, I, exact=True) == total
+    assert lyndon.count_by_type_and_descents(lam, I, exact=False) == words(elements)
+
+
+@PROPERTY
+@given(st.integers(1, 200), st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 64)),
+                                     min_size=1, max_size=5))
+def test_power_terms_sum_each_power(k, terms):
+    assert linear.power_terms(k, terms) == [
+        sum(c * i ** e for c, e in terms) for i in range(1, k + 1)]
